@@ -5,7 +5,8 @@ node's longest corresponding substring, so a node's depth in the
 suffix-links tree equals its cumulative skip value.  Multi-character
 shortening is a level-ancestor query in that tree, answered here by
 binary lifting (O(log n) per query; the accounting model still charges
-one step per shorten).
+one step per shorten).  Links are computed top-down from the stored tree
+(:func:`suffix_links`), so built and loaded trees are handled alike.
 """
 
 from __future__ import annotations
@@ -30,21 +31,47 @@ class AncestryIndex:
         return self.tree.nodes[nid].cum
 
 
-def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
-    """Compute suffix links for every non-root node plus lifting tables.
+def suffix_links(tree: SuffixIndex) -> list[NodeId]:
+    """Suffix link of every node (the root links to itself), top-down.
 
-    Reference method: for each node, walk its longest string minus the
-    first character from the root.  Quadratic, but independent of how the
-    tree was built, which makes it a useful cross-check.
+    A node's string minus its first character extends its parent's string
+    minus the first character, so the link target lies below the parent's
+    link and is reached by skip/count: one child lookup per node passed,
+    the string being known to be present.  Uses only the stored structure,
+    so built and loaded trees give the same links.
     """
     if tree.kind != "tree":
-        raise ValueError("ancestry requires a suffix tree")
-    links = [ROOT] * len(tree.nodes)
-    for nid in range(1, len(tree.nodes)):
-        nd = tree.nodes[nid]
-        target_len = nd.cum - 1
-        start = nd.leftmost_leaf_ref + 1     # longest string minus first char
-        links[nid] = _walk_exact(tree, start, target_len)
+        raise ValueError("suffix links require a suffix tree")
+    nodes = tree.nodes
+    data = tree.data
+    links = [ROOT] * len(nodes)
+    stack = list(nodes[ROOT].children.values())
+    while stack:                                 # parents before children
+        nid = stack.pop()
+        nd = nodes[nid]
+        stack.extend(nd.children.values())
+        want = nd.cum - 1
+        first = nd.leftmost_leaf_ref     # data[first + d]: link symbol d
+        cur = links[nd.parent]
+        cn = nodes[cur]
+        try:
+            while cn.cum < want:
+                cur = cn.children[data[first + cn.cum]]
+                cn = nodes[cur]
+        except (KeyError, IndexError):
+            raise AncestryError("suffix link target missing "
+                                "(not a suffix tree)") from None
+        if cn.cum != want:
+            raise AncestryError("suffix link target overshoots "
+                                "(not a suffix tree)")
+        links[nid] = cur
+    return links
+
+
+def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
+    """Suffix links for every node (:func:`suffix_links`) plus binary
+    lifting tables (O(n log n) for a tree of n nodes)."""
+    links = suffix_links(tree)
     maxd = max((nd.cum for nd in tree.nodes), default=0)
     levels = max(1, maxd.bit_length())
     jump = [links]
@@ -52,20 +79,6 @@ def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
         prev = jump[j - 1]
         jump.append([prev[prev[nid]] for nid in range(len(tree.nodes))])
     return AncestryIndex(tree, links, jump)
-
-
-def _walk_exact(tree: SuffixIndex, start: int, length: int) -> NodeId:
-    """Node whose longest string is data[start .. start+length-1] exactly."""
-    cur = ROOT
-    while tree.nodes[cur].cum < length:
-        c = tree.at(start + tree.nodes[cur].cum)
-        nxt = tree.nodes[cur].children.get(c)
-        if nxt is None:
-            raise AncestryError("suffix link target missing (builder bug)")
-        cur = nxt
-    if tree.nodes[cur].cum != length:
-        raise AncestryError("suffix link target overshoots (builder bug)")
-    return cur
 
 
 def level_ancestor_sl(anc: AncestryIndex, nid: NodeId, d: int) -> NodeId:

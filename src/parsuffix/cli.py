@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional
 
-from .ancestry import AncestryIndex, build_ancestry
+from .ancestry import AncestryError, AncestryIndex, build_ancestry
 from .harness import EquivalenceError, generate_corpus, run_case
 from .interleaved import par_query_interleaved, par_query_interleaved_threaded
 from .ledger import StepLedger
@@ -247,7 +247,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ContainerError, ParameterError, OSError,
+    except (CliError, ContainerError, AncestryError, ParameterError, OSError,
             ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -64,32 +64,43 @@ def build_layer(raw: bytes | Sequence[int], k: int) -> LayerIndex:
     return LayerIndex(k, build_generalized_suffix_tree(text, seqs, k))
 
 
-def _walk_cover_seq(index: SuffixIndex, seq: Sequence[int]) -> NodeId:
-    """First node with cumulative skip >= |seq| on seq's navigation path."""
-    cur = ROOT
-    while index.nodes[cur].cum < len(seq):
-        nxt = index.nodes[cur].children.get(seq[index.nodes[cur].cum])
+def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
+    """One entry per lower-layer node: its shortest string, split into the
+    two stride-doubled halves, covered by upper-layer nodes.
+
+    A node's halves extend its parent's, so each node resumes the two
+    upper-layer walks from its parent's cover nodes (parents first).
+    """
+    if upper.k != 2 * lower.k:
+        raise ParameterError("layer dict needs strides k and k/2")
+    low = lower.tree
+    covers = [(ROOT, ROOT)] * len(low.nodes)
+    for nid in low._topo_order()[1:]:
+        nd = low.nodes[nid]
+        short_len = nd.cum - nd.skip + 1
+        first = nd.leftmost_leaf_ref - 1   # data[first + i]: the node's symbol i
+        even, odd = covers[nd.parent]
+        covers[nid] = (_cover(upper.tree, even, low.data, first,
+                              (short_len + 1) // 2),
+                       _cover(upper.tree, odd, low.data, first + 1,
+                              short_len // 2))
+    d = PairDict(owner=upper.tree, target=low)
+    for nid in range(1, len(low.nodes)):
+        d.add(*covers[nid], nid)
+    return d
+
+
+def _cover(index: SuffixIndex, cur: NodeId, data: Sequence[int], first: int,
+           length: int) -> NodeId:
+    """First node with cumulative skip >= ``length`` on the navigation path
+    of data[first], data[first + 2], ..., resuming at ``cur`` on that path."""
+    nodes = index.nodes
+    while nodes[cur].cum < length:
+        nxt = nodes[cur].children.get(data[first + 2 * nodes[cur].cum])
         if nxt is None:
             raise PairDictError("layer navigation fell off (layer mismatch)")
         cur = nxt
     return cur
-
-
-def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
-    """One entry per lower-layer node: its shortest string, split into the
-    two stride-doubled halves, covered by upper-layer nodes."""
-    if upper.k != 2 * lower.k:
-        raise ParameterError("layer dict needs strides k and k/2")
-    d = PairDict(owner=upper.tree, target=lower.tree)
-    low = lower.tree
-    for nid in range(1, len(low.nodes)):
-        nd = low.nodes[nid]
-        short_len = nd.cum - nd.skip + 1
-        start = nd.leftmost_leaf_ref
-        s = low.data[start - 1: start - 1 + short_len]
-        d.add(_walk_cover_seq(upper.tree, s[0::2]),
-              _walk_cover_seq(upper.tree, s[1::2]), nid)
-    return d
 
 
 def build_layered_index(raw: bytes, p: int) -> LayeredIndex:

@@ -25,6 +25,11 @@ Only the structural fields are stored; cumulative skips, leftmost leaf
 references and child ordering are recomputed on load, and suffix links /
 lifting tables are rebuilt on demand.  Node ids survive a round trip
 unchanged, so dictionary triples and query traces stay comparable.
+
+Loading raises ``ContainerError`` unless every index block spells one
+tree rooted at node 0 (child ids in range, each node listed once and by
+the parent it names, no empty edges, refs inside the data) and the input
+ends with the last block.
 """
 
 from __future__ import annotations
@@ -43,6 +48,13 @@ VERSION = 1
 _KINDS = {"trie": 0, "tree": 1, "interleaved": 2}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
 _NO_PARENT = 0xFFFFFFFF
+_HEAD = struct.Struct("<BBI")          # version, kind, p
+_RAWLEN = struct.Struct("<Q")
+_INDEX_HEAD = struct.Struct("<II")     # stride, node count
+_NODE = struct.Struct("<IIIH")         # parent, skip, ref, child count
+_CHILD = struct.Struct("<HI")          # symbol, child id
+_COUNT = struct.Struct("<I")
+_TRIPLE = struct.Struct("<III")        # a, b, w
 
 
 class ContainerError(ValueError):
@@ -62,7 +74,6 @@ class Container:
 
 
 def build_container(raw: bytes, kind: str, p: int = 1) -> Container:
-    from .ancestry import build_ancestry  # noqa: F401  (validated on query)
     from .halving import build_tree_halving_dict, build_trie_halving_dict
     from .interleaved import build_layered_index
     from .suffixindex import build_suffix_tree, build_suffix_trie
@@ -82,26 +93,25 @@ def build_container(raw: bytes, kind: str, p: int = 1) -> Container:
 
 
 def _pack_index(out: bytearray, index: SuffixIndex) -> None:
-    out += struct.pack("<II", index.stride, len(index.nodes))
+    out += _INDEX_HEAD.pack(index.stride, len(index.nodes))
     for nd in index.nodes:
         parent = _NO_PARENT if nd.parent is None else nd.parent
-        out += struct.pack("<IIIH", parent, nd.skip, nd.ref or 0,
-                           len(nd.children))
+        out += _NODE.pack(parent, nd.skip, nd.ref or 0, len(nd.children))
         for sym, child in sorted(nd.children.items()):
-            out += struct.pack("<HI", sym, child)
+            out += _CHILD.pack(sym, child)
 
 
 def _pack_dict(out: bytearray, d: PairDict) -> None:
-    out += struct.pack("<I", len(d.entries))
+    out += _COUNT.pack(len(d.entries))
     for (a, b), w in sorted(d.entries.items()):
-        out += struct.pack("<III", a, b, w)
+        out += _TRIPLE.pack(a, b, w)
 
 
 def dump_container(cont: Container) -> bytes:
     out = bytearray()
     out += MAGIC
-    out += struct.pack("<BBI", VERSION, _KINDS[cont.kind], cont.p)
-    out += struct.pack("<Q", len(cont.raw))
+    out += _HEAD.pack(VERSION, _KINDS[cont.kind], cont.p)
+    out += _RAWLEN.pack(len(cont.raw))
     out += cont.raw
     if cont.kind in ("trie", "tree"):
         _pack_index(out, cont.index)
@@ -126,12 +136,11 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, fmt: str) -> tuple:
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
+    def take(self, fmt: struct.Struct) -> tuple:
+        if self.pos + fmt.size > len(self.data):
             raise ContainerError("truncated container")
-        vals = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
+        vals = fmt.unpack_from(self.data, self.pos)
+        self.pos += fmt.size
         return vals
 
     def take_bytes(self, n: int) -> bytes:
@@ -141,6 +150,11 @@ class _Reader:
         self.pos += n
         return out
 
+    def expect_end(self) -> None:
+        if self.pos != len(self.data):
+            raise ContainerError("%d trailing bytes after the last block"
+                                 % (len(self.data) - self.pos))
+
 
 def _layer_text_and_seqs(raw: bytes, stride: int) -> tuple[Text, list]:
     text = make_text(raw, stride)
@@ -148,7 +162,7 @@ def _layer_text_and_seqs(raw: bytes, stride: int) -> tuple[Text, list]:
 
 
 def _unpack_index(rd: _Reader, raw: bytes, kind: str) -> SuffixIndex:
-    stride, count = rd.take("<II")
+    stride, count = rd.take(_INDEX_HEAD)
     if count < 1:
         raise ContainerError("index block has no root")
     text, seqs = _layer_text_and_seqs(raw, stride)
@@ -159,31 +173,51 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str) -> SuffixIndex:
         data.extend(seq)
     index = SuffixIndex(text, kind, data, seq_starts, stride)
     index.nodes.clear()
+    nodes = index.nodes
     for nid in range(count):
-        parent, skip, ref, nchild = rd.take("<IIIH")
+        parent, skip, ref, nchild = rd.take(_NODE)
+        if ref > len(data) or (skip == 0 and parent != _NO_PARENT):
+            raise ContainerError("node %d: empty edge or suffix ref outside "
+                                 "the text" % nid)
         nd = Node(parent=None if parent == _NO_PARENT else parent,
                   skip=skip, cum=0, ref=ref or None)
-        for _ in range(nchild):
-            sym, child = rd.take("<HI")
-            nd.children[sym] = child
-        index.nodes.append(nd)
-    if index.nodes[0].parent is not None:
+        if nchild:
+            nd.children = dict(_CHILD.iter_unpack(
+                rd.take_bytes(_CHILD.size * nchild)))
+        nodes.append(nd)
+    if nodes[0].parent is not None:
         raise ContainerError("node 0 is not a root")
-    for nid in index._topo_order():            # parents before children
-        nd = index.nodes[nid]
-        nd.cum = nd.skip if nd.parent is None else \
-            index.nodes[nd.parent].cum + nd.skip
+    # Parents before children, each node reached once, from the node its
+    # parent field names: the block spells one tree rooted at node 0.
+    reached = bytearray(count)
+    order = [0]
+    try:
+        for nid in order:
+            nd = nodes[nid]
+            for child in nd.children.values():
+                cn = nodes[child]
+                if cn.parent != nid or reached[child]:
+                    raise ContainerError("node %d listed twice or under a "
+                                         "node other than its parent" % child)
+                reached[child] = 1
+                cn.cum = nd.cum + cn.skip
+                order.append(child)
+    except IndexError:
+        raise ContainerError("child id out of range") from None
+    if len(order) != count:
+        raise ContainerError("%d nodes unreachable from the root"
+                             % (count - len(order)))
     index.finalize()
     return index
 
 
 def _unpack_dict(rd: _Reader, owner: SuffixIndex,
                  target: SuffixIndex) -> PairDict:
-    (count,) = rd.take("<I")
+    (count,) = rd.take(_COUNT)
     d = PairDict(owner=owner, target=target)
     nodes_o, nodes_t = len(owner.nodes), len(target.nodes)
     for _ in range(count):
-        a, b, w = rd.take("<III")
+        a, b, w = rd.take(_TRIPLE)
         if a >= nodes_o or b >= nodes_o or w >= nodes_t:
             raise ContainerError("dictionary entry references missing node")
         d.add(a, b, w)
@@ -194,18 +228,19 @@ def load_container(data: bytes) -> Container:
     rd = _Reader(data)
     if rd.take_bytes(4) != MAGIC:
         raise ContainerError("bad magic (not a PQST container)")
-    version, kind_code, p = rd.take("<BBI")
+    version, kind_code, p = rd.take(_HEAD)
     if version != VERSION:
         raise ContainerError("unsupported container version %d" % version)
     if kind_code not in _KIND_NAMES:
         raise ContainerError("unknown index kind code %d" % kind_code)
     kind = _KIND_NAMES[kind_code]
-    (rawlen,) = rd.take("<Q")
+    (rawlen,) = rd.take(_RAWLEN)
     raw = rd.take_bytes(rawlen)
 
     if kind in ("trie", "tree"):
         index = _unpack_index(rd, raw, kind)
         dct = _unpack_dict(rd, index, index)
+        rd.expect_end()
         return Container(kind, raw, p, index, dct)
 
     layered = LayeredIndex(raw, p)
@@ -218,6 +253,7 @@ def load_container(data: bytes) -> Container:
         layered.dicts[k] = _unpack_dict(rd, layered.layers[k].tree,
                                         layered.layers[k // 2].tree)
         k *= 2
+    rd.expect_end()
     return Container(kind, raw, p, layered=layered)
 
 

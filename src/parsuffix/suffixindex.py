@@ -33,7 +33,6 @@ class Node:
     children: dict[int, NodeId] = field(default_factory=dict)
     ref: Optional[int] = None    # for leaves: 1-based suffix start in data
     leftmost_leaf_ref: int = 0   # 1-based data position of one suffix below
-    suffix_link: Optional[NodeId] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -181,10 +180,8 @@ def build_suffix_trie(text: Text) -> SuffixIndex:
 
 
 def build_suffix_tree(text: Text) -> SuffixIndex:
-    """Suffix tree by naive suffix insertion with edge splitting.
-
-    Quadratic worst case; the reference builder for desk-scale inputs.
-    """
+    """Suffix tree by McCreight's algorithm (:func:`_insert_all_suffixes`);
+    O(n) node visits plus O(n) character comparisons."""
     if len(text) < 1:
         raise ValueError("text must be nonempty")
     idx = SuffixIndex(text, "tree", text.symbols, (1,), 1)
@@ -195,7 +192,8 @@ def build_suffix_tree(text: Text) -> SuffixIndex:
 
 def build_generalized_suffix_tree(text: Text, sequences: Sequence[Sequence[int]],
                                   stride: int) -> SuffixIndex:
-    """Suffix tree over all suffixes of all given sequences.
+    """Suffix tree over all suffixes of all given sequences, in time linear
+    in their total length.
 
     Each sequence must end with a delimiter unique across sequences.
     """
@@ -211,25 +209,70 @@ def build_generalized_suffix_tree(text: Text, sequences: Sequence[Sequence[int]]
 
 
 def _insert_all_suffixes(idx: SuffixIndex) -> None:
+    """McCreight's algorithm (McCreight 1976).
+
+    Suffixes are inserted longest first, one sequence after another.  The
+    head of a suffix is the node its leaf hangs from.  The head of suffix
+    s+1 is found from the head h of suffix s: if h existed before step s,
+    it has a suffix link and the scan resumes there; otherwise the walk
+    follows the suffix link of h's parent, rescans the rest of h's string
+    minus its first character by skip/count (one comparison per node, the
+    string is known to be present), and then scans character by
+    character.  Every step creates the same nodes in the same order as
+    inserting each suffix from the root would, so node ids do not depend
+    on the method.  Suffix links are kept only while building.
+    """
+    nodes = idx.nodes
+    data = idx.data                      # 0-based: data[p - 1] is at(p)
+    link: dict[NodeId, NodeId] = {ROOT: ROOT}
     for lo, hi in _suffix_ranges(idx):
+        head = ROOT                      # the last suffix is one delimiter
         for s in range(lo, hi + 1):
-            _insert_suffix(idx, s, hi)
+            if head in link:
+                cur = link[head]
+            else:
+                # head was created in the previous step: rescan its string
+                # minus the first character below its parent's link
+                hn = nodes[head]
+                want = hn.cum - 1
+                cur = link[hn.parent]
+                while nodes[cur].cum < want:
+                    child = nodes[cur].children[data[s - 1 + nodes[cur].cum]]
+                    if nodes[child].cum > want:
+                        cur = _split(idx, cur, child, want)
+                        break
+                    cur = child
+                link[head] = cur
+            head = _scan(idx, cur, s, hi)
 
 
-def _insert_suffix(idx: SuffixIndex, s: int, e: int) -> None:
-    cur = idx.root
-    pos = s
+def _split(idx: SuffixIndex, cur: NodeId, child: NodeId, depth: int) -> NodeId:
+    """Insert a node at string depth ``depth`` on the edge cur -> child."""
+    nodes = idx.nodes
+    cn = nodes[child]
+    lref = cn.leftmost_leaf_ref
+    mid = idx.new_node(cur, depth - nodes[cur].cum, lref)
+    nodes[cur].children[idx.data[lref - 1 + nodes[cur].cum]] = mid
+    cn.parent = mid
+    cn.skip = cn.cum - depth
+    nodes[mid].children[idx.data[lref - 1 + depth]] = child
+    return mid
+
+
+def _scan(idx: SuffixIndex, cur: NodeId, s: int, e: int) -> NodeId:
+    """Insert suffix data[s .. e], whose first ``cum(cur)`` symbols spell
+    ``cur``, comparing symbols from there on; returns the suffix's head."""
+    nodes = idx.nodes
+    data = idx.data
+    pos = s + nodes[cur].cum
     while True:
-        child = idx.nodes[cur].children.get(idx.at(pos))
+        child = nodes[cur].children.get(data[pos - 1])
         if child is None:
-            leaf = idx.new_node(cur, e - pos + 1, s)
-            idx.nodes[leaf].ref = s
-            idx.nodes[cur].children[idx.at(pos)] = leaf
-            return
-        cn = idx.nodes[child]
+            break
+        cn = nodes[child]
         lref = cn.leftmost_leaf_ref
-        j = idx.nodes[cur].cum + 1
-        while j <= cn.cum and pos <= e and idx.at(lref + j - 1) == idx.at(pos):
+        j = nodes[cur].cum + 1
+        while j <= cn.cum and pos <= e and data[lref + j - 2] == data[pos - 1]:
             j += 1
             pos += 1
         if j > cn.cum:
@@ -242,17 +285,12 @@ def _insert_suffix(idx: SuffixIndex, s: int, e: int) -> None:
         if pos > e:
             raise AssertionError("suffix is a proper edge prefix; "
                                  "text lacks a unique terminator")
-        # split the edge at j-1 matched symbols
-        mid = idx.new_node(cur, (j - 1) - idx.nodes[cur].cum, lref)
-        mn = idx.nodes[mid]
-        idx.nodes[cur].children[idx.at(lref + idx.nodes[cur].cum)] = mid
-        cn.parent = mid
-        cn.skip = cn.cum - (j - 1)
-        mn.children[idx.at(lref + j - 1)] = child
-        leaf = idx.new_node(mid, e - pos + 1, s)
-        idx.nodes[leaf].ref = s
-        mn.children[idx.at(pos)] = leaf
-        return
+        cur = _split(idx, cur, child, j - 1)
+        break
+    leaf = idx.new_node(cur, e - pos + 1, s)
+    nodes[leaf].ref = s
+    nodes[cur].children[data[pos - 1]] = leaf
+    return cur
 
 
 # -- queries -----------------------------------------------------------

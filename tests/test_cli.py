@@ -170,3 +170,19 @@ def test_no_patterns_is_an_error(tmp_path, abra_file, capsys):
     idx = build(tmp_path, abra_file, "tree")
     capsys.readouterr()
     assert main(["query", "--index", idx, "--algo", "seq"]) != 0
+
+
+def test_query_rejects_tree_without_suffix_links(tmp_path, capsys):
+    """A structurally valid container whose tree is not a suffix tree: the
+    root's child for 'b' is relabelled 'c', so "ab" has no link target."""
+    from parsuffix.serial import build_container, dump_container
+    blob = bytearray(dump_container(build_container(b"abab", "tree")))
+    sym_b = 4 + 6 + 8 + 4 + 8 + 14 + 6          # root's second child symbol
+    assert blob[sym_b] == ord("b")
+    blob[sym_b] = ord("c")
+    path = tmp_path / "bad.idx"
+    path.write_bytes(bytes(blob))
+    rc = main(["query", "--index", str(path), "--pattern", "ab",
+               "--algo", "tree-par2"])
+    assert rc == 2
+    assert "suffix link" in capsys.readouterr().err

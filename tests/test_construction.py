@@ -1,0 +1,102 @@
+"""The McCreight builder and the suffix-link based dictionaries against the
+root-walk oracle in ``naive_oracle``: same nodes, same ids, same bytes."""
+
+import random
+import time
+
+import pytest
+
+from parsuffix import (build_ancestry, build_container, build_layered_index,
+                       build_suffix_tree, build_suffix_trie,
+                       build_tree_halving_dict, build_trie_halving_dict,
+                       dump_container, make_text)
+from parsuffix.ancestry import suffix_links
+from parsuffix.serial import Container
+
+from conftest import random_text
+from naive_oracle import (naive_layered_index, naive_suffix_links,
+                          naive_suffix_tree, naive_trie_dict, naive_tree_dict)
+
+N = 300
+TRIE_N = 100          # the trie oracle is cubic in the text length
+
+
+def fibonacci_text(n):
+    prev, cur = b"a", b"ab"
+    while len(cur) < n:
+        prev, cur = cur, cur + prev
+    return cur[:n]
+
+
+def periodic_text(rng, n, period):
+    block = bytes(rng.sample(range(97, 97 + 26), period))
+    return (block * (n // period + 1))[:n]
+
+
+def _texts():
+    rng = random.Random(17)
+    out = [("unary", b"a" * N), ("fibonacci", fibonacci_text(N)),
+           ("periodic-7", periodic_text(rng, N, 7)), ("empty", b""),
+           ("single", b"x")]
+    for sigma in (1, 2, 4):
+        for i in range(3):
+            out.append(("random-s%d-%d" % (sigma, i),
+                        random_text(rng, rng.randrange(1, N + 1), sigma)))
+    return out
+
+
+TEXTS = _texts()
+IDS = [name for name, _ in TEXTS]
+
+
+def assert_same_nodes(got, want):
+    assert len(got.nodes) == len(want.nodes)
+    for nid, (a, b) in enumerate(zip(got.nodes, want.nodes)):
+        assert (a.parent, a.skip, a.ref, a.children) == \
+            (b.parent, b.skip, b.ref, b.children), "node %d" % nid
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
+def test_tree_matches_oracle(raw):
+    tree = build_suffix_tree(make_text(raw, 1))
+    oracle = naive_suffix_tree(make_text(raw, 1))
+    assert_same_nodes(tree, oracle)
+    assert suffix_links(tree) == naive_suffix_links(oracle)
+    assert build_ancestry(tree).suffix_link == naive_suffix_links(oracle)
+    want_dict = naive_tree_dict(oracle)
+    assert build_tree_halving_dict(tree).entries == want_dict.entries
+    assert dump_container(build_container(raw, "tree")) == \
+        dump_container(Container("tree", raw, 1, oracle, want_dict))
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
+def test_trie_dict_matches_oracle(raw):
+    trie = build_suffix_trie(make_text(raw[:TRIE_N], 1))
+    assert build_trie_halving_dict(trie).entries == \
+        naive_trie_dict(trie).entries
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS if raw],
+                         ids=[name for name, raw in TEXTS if raw])
+def test_layers_match_oracle(raw):
+    got = build_layered_index(raw, 8)
+    want = naive_layered_index(raw, 8)
+    for k in (1, 2, 4, 8):
+        tree = got.layers[k].tree
+        assert_same_nodes(tree, want.layers[k].tree)
+        assert suffix_links(tree) == naive_suffix_links(want.layers[k].tree)
+    for k in (2, 4, 8):
+        assert got.dicts[k].entries == want.dicts[k].entries
+    assert dump_container(Container("interleaved", raw, 8, layered=got)) == \
+        dump_container(Container("interleaved", raw, 8, layered=want))
+
+
+def test_unary_stack_builds_in_linear_time():
+    """Root walks made this stack quadratic: about 15 s at n=4000."""
+    raw = b"a" * 4000
+    t0 = time.perf_counter()
+    tree = build_suffix_tree(make_text(raw, 1))
+    build_ancestry(tree)
+    build_tree_halving_dict(tree)
+    build_layered_index(raw, 4)
+    assert time.perf_counter() - t0 < 3.0

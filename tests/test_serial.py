@@ -1,5 +1,7 @@
 """Binary container round-trips."""
 
+import struct
+
 import pytest
 
 from parsuffix import (Container, ContainerError, build_ancestry,
@@ -87,3 +89,58 @@ def test_unknown_kind_and_version():
 def test_container_kind_validation():
     with pytest.raises(ContainerError):
         build_container(b"AB", "suffix-automaton")
+
+
+# Offsets into build_container(b"abab", "tree"): header (4 + 6 + 8), the
+# raw text (4), the index block's stride and count (8), then node 0's
+# fields (14) and its first (symbol u16, child id u32) pair.
+ABAB_NODE0 = 4 + 6 + 8 + 4 + 8
+ABAB_ROOT_CHILD0 = ABAB_NODE0 + 14 + 2
+
+
+def abab_blob():
+    return bytearray(dump_container(build_container(b"abab", "tree")))
+
+
+def patched(blob, offset, fmt, value):
+    struct.pack_into(fmt, blob, offset, value)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("child", [0, 999], ids=["cycle", "out-of-range"])
+def test_bad_child_id_rejected(child):
+    blob = patched(abab_blob(), ABAB_ROOT_CHILD0, "<I", child)
+    with pytest.raises(ContainerError):
+        load_container(blob)
+
+
+def _node_offset(blob, nid):
+    """Byte offset of node ``nid``'s fixed fields in the abab blob."""
+    off = ABAB_NODE0
+    for _ in range(nid):
+        nchild = struct.unpack_from("<H", blob, off + 12)[0]
+        off += 14 + 6 * nchild
+    return off
+
+
+def test_parent_disagreement_rejected():
+    blob = abab_blob()
+    child = struct.unpack_from("<I", blob, ABAB_ROOT_CHILD0)[0]
+    other = 2 if child == 1 else 1
+    with pytest.raises(ContainerError):
+        load_container(patched(blob, _node_offset(blob, child), "<I", other))
+
+
+def test_empty_edge_rejected():
+    blob = abab_blob()
+    child = struct.unpack_from("<I", blob, ABAB_ROOT_CHILD0)[0]
+    with pytest.raises(ContainerError):
+        load_container(patched(blob, _node_offset(blob, child) + 4, "<I", 0))
+
+
+def test_trailing_bytes_rejected():
+    for kind, p in (("tree", 1), ("interleaved", 2)):
+        blob = dump_container(build_container(b"abab", kind, p))
+        load_container(blob)
+        with pytest.raises(ContainerError):
+            load_container(blob + b"\0")
