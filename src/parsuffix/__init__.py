@@ -15,8 +15,8 @@ from .query import EMPTY, QueryResult, seq_query
 from .serial import (Container, ContainerError, build_container,
                      dump_container, load_container, load_file, save_file)
 from .suffixindex import (ROOT, NodeId, SuffixIndex, build_suffix_tree,
-                          build_suffix_trie, navigate, occurrences,
-                          record_path, verify_against_text)
+                          build_suffix_trie, descend, navigate, occurrences,
+                          verify_against_text)
 from .textmodel import (Pattern, Text, deinterleave2, deinterleaved_len,
                         delimiter, interleave, is_delimiter, make_text)
 from .treeparallel import par_query_tree2, par_query_tree2_threaded

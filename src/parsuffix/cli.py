@@ -12,19 +12,16 @@ import os
 import sys
 from typing import Optional
 
-from .ancestry import AncestryError, AncestryIndex, build_ancestry
-from .harness import EquivalenceError, generate_corpus, run_case
-from .interleaved import par_query_interleaved, par_query_interleaved_threaded
+from .ancestry import AncestryError, build_ancestry
+from .harness import (ALGORITHMS, Algorithm, EquivalenceError, IndexBundle,
+                      generate_corpus, run_case)
+from .lanes import Mapper, seq_map, thread_map
 from .ledger import StepLedger
-from .query import QueryResult, seq_query
+from .query import QueryResult
 from .serial import Container, ContainerError, build_container, load_file, \
     save_file
 from .textmodel import Pattern
-from .treeparallel import par_query_tree2, par_query_tree2_threaded
-from .trieparallel import ParameterError, par_query_trie, \
-    par_query_trie_threaded
-
-ALGOS = ("seq", "trie-par", "tree-par2", "interleaved")
+from .trieparallel import ParameterError
 
 
 class CliError(Exception):
@@ -45,17 +42,6 @@ def _read_patterns(args: argparse.Namespace) -> list[bytes]:
     if not pats:
         raise CliError("no patterns given (use --pattern or --pattern-file)")
     return pats
-
-
-def _clamp_p(p: int, m: int) -> int:
-    """Largest power of two <= p that is < 2m (the library errors on
-    oversized p; the CLI clamps and warns instead)."""
-    q = 1
-    while q * 2 <= p and q * 2 < 2 * m:
-        q *= 2
-    if q != p:
-        _warn("p=%d unusable for m=%d; clamped to %d" % (p, m, q))
-    return q
 
 
 def _dict_size(cont: Container) -> int:
@@ -81,50 +67,51 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_query(cont: Container, anc: Optional[AncestryIndex], raw_pat: bytes,
-               algo: str, p: int, threaded: bool,
-               ledger: StepLedger) -> QueryResult:
+def _bundle(cont: Container, algos: list[Algorithm]) -> IndexBundle:
+    """The container's indexes, plus the tree's ancestry when tree-par2
+    runs on it."""
+    b = IndexBundle(cont.raw, interleaved=cont.layered)
+    if cont.kind == "trie":
+        b.trie, b.trie_dict = cont.index, cont.dct
+    elif cont.kind == "tree":
+        b.tree, b.tree_dict = cont.index, cont.dct
+        if ALGORITHMS["tree-par2"] in algos:
+            b.anc = build_ancestry(cont.index)
+    return b
+
+
+def _run_query(algo: Algorithm, b: IndexBundle, raw_pat: bytes, p: int,
+               mapper: Mapper, ledger: StepLedger) -> QueryResult:
+    """Runs one query, clamping an unusable lane count to the largest
+    usable power of two; an algorithm without a lane count that cannot
+    take the pattern answers it sequentially."""
     pat = Pattern.from_bytes(raw_pat)
-    if algo == "seq":
-        if cont.index is None:
-            raise CliError("seq needs a trie or tree index")
-        return seq_query(cont.index, pat, ledger)
-    if algo == "trie-par":
-        if cont.kind != "trie":
-            raise CliError("trie-par needs a trie index")
-        p = _clamp_p(p, pat.m)
-        if threaded:
-            return par_query_trie_threaded(cont.index, cont.dct, pat, p)
-        return par_query_trie(cont.index, cont.dct, pat, p, ledger)
-    if algo == "tree-par2":
-        if cont.kind != "tree":
-            raise CliError("tree-par2 needs a tree index")
-        if pat.m < 2:
-            _warn("tree-par2 needs m >= 2; answering sequentially")
-            return seq_query(cont.index, pat, ledger)
-        if threaded:
-            return par_query_tree2_threaded(cont.index, anc, cont.dct, pat)
-        return par_query_tree2(cont.index, anc, cont.dct, pat, ledger)
-    if algo == "interleaved":
-        if cont.kind != "interleaved":
-            raise CliError("interleaved needs an interleaved index")
-        j = min(p, cont.layered.p)
-        if j != p:
-            _warn("j=%d exceeds index layers; clamped to %d" % (p, j))
-        if threaded:
-            return par_query_interleaved_threaded(cont.layered, pat, j)
-        return par_query_interleaved(cont.layered, pat, j, ledger)
-    raise CliError("unknown algorithm %r" % algo)
+    param = p if algo.lane else None
+    why = algo.unusable(pat, param, b)
+    if why and algo.lane:
+        param = 1 << (max(p, 1).bit_length() - 1)
+        while param > 1 and algo.unusable(pat, param, b):
+            param //= 2
+        _warn("%s=%d unusable for m=%d (%s); clamped to %d" %
+              (algo.lane, p, pat.m, why, param))
+    elif why:
+        _warn("%s unusable for m=%d (%s); answering sequentially" %
+              (algo.name, pat.m, why))
+        algo = ALGORITHMS["seq"]
+    return algo.run(b, pat, param, ledger, mapper)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    algo = ALGORITHMS[args.algo]
     cont = load_file(args.index)
-    anc = build_ancestry(cont.index) \
-        if cont.kind == "tree" and args.algo == "tree-par2" else None
+    if cont.kind not in algo.kinds:
+        raise CliError("%s needs a %s index" % (algo.name,
+                                                " or ".join(algo.kinds)))
+    b = _bundle(cont, [algo])
+    mapper = thread_map if args.threads else seq_map
     for raw_pat in _read_patterns(args):
         led = StepLedger()
-        res = _run_query(cont, anc, raw_pat, args.algo, args.p,
-                         args.threads, led)
+        res = _run_query(algo, b, raw_pat, args.p, mapper, led)
         if args.count:
             line = str(len(res.positions))
         else:
@@ -138,20 +125,14 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cont = load_file(args.index)
-    anc = build_ancestry(cont.index) if cont.kind == "tree" else None
-    algos = {"trie": ("seq", "trie-par"),
-             "tree": ("seq", "tree-par2"),
-             "interleaved": ("interleaved",)}[cont.kind]
+    algos = [a for a in ALGORITHMS.values() if cont.kind in a.kinds]
+    b = _bundle(cont, algos)
     print("m\talgorithm\twork\tspan\tprobes")
     for raw_pat in _read_patterns(args):
         for algo in algos:
             led = StepLedger()
-            try:
-                _run_query(cont, anc, raw_pat, algo, args.p, False, led)
-            except (CliError, ParameterError) as exc:
-                _warn("%s skipped for m=%d: %s" % (algo, len(raw_pat), exc))
-                continue
-            print("%d\t%s\t%d\t%d\t%d" % (len(raw_pat), algo, led.work,
+            _run_query(algo, b, raw_pat, args.p, seq_map, led)
+            print("%d\t%s\t%d\t%d\t%d" % (len(raw_pat), algo.name, led.work,
                                           led.span, led.probes))
     return 0
 
@@ -215,7 +196,7 @@ def make_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("query", help="run queries against a saved index")
     q.add_argument("--index", required=True)
     add_pattern_flags(q)
-    q.add_argument("--algo", required=True, choices=ALGOS)
+    q.add_argument("--algo", required=True, choices=tuple(ALGORITHMS))
     grp = q.add_mutually_exclusive_group()
     grp.add_argument("--count", action="store_true",
                      help="print occurrence counts")
@@ -224,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--stats", action="store_true",
                    help="append work/span/probe columns")
     q.add_argument("--threads", action="store_true",
-                   help="use the threaded execution mode")
+                   help="run the lanes on the shared thread pool")
     q.set_defaults(func=cmd_query)
 
     be = sub.add_parser("bench", help="work/span table over patterns")

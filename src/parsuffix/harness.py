@@ -1,5 +1,6 @@
 """Cross-algorithm equivalence harness: naive oracle, randomized corpus
-generation, and per-case execution with work/span reports.
+generation, the algorithm registry, and per-case execution with work/span
+reports.
 
 Every algorithm under test must return exactly the naive-scan position
 set; a mismatch raises with the case's seed so the failure is one command
@@ -12,20 +13,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .ancestry import AncestryIndex, build_ancestry
 from .halving import PairDict, build_tree_halving_dict, build_trie_halving_dict
 from .interleaved import (LayeredIndex, build_layered_index,
-                          par_query_interleaved, par_query_interleaved_threaded)
+                          par_query_interleaved)
+from .lanes import Mapper, is_pow2, seq_map, thread_map
 from .ledger import StepLedger
-from .query import seq_query
+from .query import QueryResult, seq_query
 from .suffixindex import SuffixIndex, build_suffix_tree, build_suffix_trie
 from .textmodel import Pattern, make_text
-from .treeparallel import par_query_tree2, par_query_tree2_threaded
-from .trieparallel import par_query_trie, par_query_trie_threaded
-
-ALGORITHMS = ("seq", "trie-par", "tree-par2", "interleaved")
+from .treeparallel import par_query_tree2
+from .trieparallel import par_query_trie
 
 # A suffix trie has a node per distinct substring; cap the text size for
 # trie-backed algorithms so corpus runs stay near-linear overall.
@@ -105,15 +105,16 @@ class EquivalenceError(AssertionError):
 
 @dataclass
 class IndexBundle:
-    """All indexes a case needs, built once and shared across algorithms."""
+    """The indexes queries run on: all a case needs, built once and shared
+    across algorithms, or those of one loaded container."""
 
     raw: bytes
-    tree: SuffixIndex
-    anc: AncestryIndex
-    tree_dict: PairDict
+    tree: Optional[SuffixIndex] = None
+    anc: Optional[AncestryIndex] = None
+    tree_dict: Optional[PairDict] = None
     trie: Optional[SuffixIndex] = None
     trie_dict: Optional[PairDict] = None
-    layered: Optional[LayeredIndex] = None
+    interleaved: Optional[LayeredIndex] = None
 
 
 def build_bundle(raw: bytes, want_trie: bool = True,
@@ -126,8 +127,88 @@ def build_bundle(raw: bytes, want_trie: bool = True,
         bundle.trie = build_suffix_trie(text)
         bundle.trie_dict = build_trie_halving_dict(bundle.trie)
     if layered_p >= 2:
-        bundle.layered = build_layered_index(raw, layered_p)
+        bundle.interleaved = build_layered_index(raw, layered_p)
     return bundle
+
+
+# -- the algorithm registry ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One query algorithm: the container kinds it runs on (the first is
+    the one it uses when a bundle holds several), its lane-count rule, how
+    to run it and the ledger laws every run must keep."""
+
+    name: str
+    kinds: tuple[str, ...]
+    lane: str          # the lane count a caller picks ("p", "j"); "" if none
+    # why (pattern, lane count) cannot run, beyond a power of two; or None
+    rule: Callable[[Pattern, Optional[int], IndexBundle], Optional[str]]
+    run: Callable[[IndexBundle, Pattern, Optional[int], StepLedger, Mapper],
+                  QueryResult]
+    # the law a finished run broke, or None
+    law: Callable[[Pattern, Optional[int], StepLedger, QueryResult],
+                  Optional[str]]
+
+    def unusable(self, pat: Pattern, param: Optional[int],
+                 b: IndexBundle) -> Optional[str]:
+        if self.lane and not is_pow2(param):
+            return "%s not a power of two" % self.lane
+        return self.rule(pat, param, b)
+
+
+def _trie_par_law(pat, p, led, res):
+    # work identity: m characters + one probe per merged pair
+    if res.found and led.work != pat.m + (p - 1):
+        return "work law violated: work=%d m=%d p=%d" % (led.work, pat.m, p)
+    return None
+
+
+def _tree_par2_law(pat, _, led, res):
+    nav_cap = -(-5 * pat.m // 4) + 2
+    if led.nav_chars > nav_cap:
+        return "nav law violated: nav=%d cap=%d" % (led.nav_chars, nav_cap)
+    if led.span > pat.m + 4:
+        return "span law violated: span=%d m=%d" % (led.span, pat.m)
+    return None
+
+
+def _interleaved_law(pat, j, led, res):
+    if res.found and pat.m >= j > 1:
+        span_cap = 4 * (pat.m / j) * math.log2(j)
+        if led.span > span_cap:
+            return "span law violated: span=%d cap=%.1f j=%d" % (
+                led.span, span_cap, j)
+    return None
+
+
+ALGORITHMS: dict[str, Algorithm] = {a.name: a for a in (
+    Algorithm("seq", ("tree", "trie"), "", lambda *_: None,
+              lambda b, pat, _, led, mapper: seq_query(
+                  b.tree if b.tree is not None else b.trie, pat, led),
+              lambda *_: None),
+    Algorithm("trie-par", ("trie",), "p",
+              lambda pat, p, b: "p >= 2m" if p >= 2 * pat.m else None,
+              lambda b, pat, p, led, mapper: par_query_trie(
+                  b.trie, b.trie_dict, pat, p, led, mapper),
+              _trie_par_law),
+    Algorithm("tree-par2", ("tree",), "",
+              lambda pat, _, b: "m < 2" if pat.m < 2 else None,
+              lambda b, pat, _, led, mapper: par_query_tree2(
+                  b.tree, b.anc, b.tree_dict, pat, led, mapper),
+              _tree_par2_law),
+    Algorithm("interleaved", ("interleaved",), "j",
+              lambda pat, j, b: "j > p" if j > b.interleaved.p else None,
+              lambda b, pat, j, led, mapper: par_query_interleaved(
+                  b.interleaved, pat, j, led, mapper),
+              _interleaved_law),
+)}
+
+
+def _counts(led: StepLedger) -> tuple[int, ...]:
+    return (led.work, led.span, led.nav_chars, led.probes, led.shortens,
+            led.compares)
 
 
 def _check(report: CaseReport, name: str, positions: tuple[int, ...]) -> None:
@@ -147,8 +228,10 @@ def run_case(case: CorpusCase, algorithms: Iterable[str] = ALGORITHMS,
              threaded: bool = False,
              check_laws: bool = True) -> CaseReport:
     """Run the selected algorithms, assert oracle equality, and return
-    per-run (work, span, result).  Parameter combinations an algorithm
-    rejects (e.g. p >= 2m) are recorded in ``skipped``."""
+    per-run (work, span, result).  Lane counts an algorithm cannot use
+    (e.g. p >= 2m) and missing indexes are recorded in ``skipped``.  With
+    ``threaded`` each run is repeated on the shared thread pool, which must
+    give the same positions and the same ledger counts."""
     algorithms = set(algorithms)
     unknown = algorithms - set(ALGORITHMS)
     if unknown:
@@ -156,95 +239,44 @@ def run_case(case: CorpusCase, algorithms: Iterable[str] = ALGORITHMS,
     raw, pat = case.materialize()
     report = CaseReport(case=case, expected=oracle_scan(raw, pat))
     if bundle is None:
-        bundle = build_bundle(raw, want_trie="trie-par" in algorithms,
+        kinds = {ALGORITHMS[a].kinds[0] for a in algorithms}
+        bundle = build_bundle(raw, want_trie="trie" in kinds,
                               layered_p=max(j_values, default=0)
-                              if "interleaved" in algorithms else 0)
+                              if "interleaved" in kinds else 0)
+    lane_values = {"p": p_values, "j": j_values, "": (None,)}
 
-    if "seq" in algorithms:
-        led = StepLedger()
-        res = seq_query(bundle.tree, pat, led)
-        _check(report, "seq", res.positions)
-        report.runs.append(AlgoReport("seq", led.work, led.span,
-                                      res.positions, led))
-
-    if "trie-par" in algorithms:
-        if bundle.trie is None:
-            report.skipped.append("trie-par (n > %d)" % TRIE_N_CAP)
-        else:
-            for p in p_values:
-                if not p < 2 * pat.m:
-                    report.skipped.append("trie-par p=%d (p >= 2m)" % p)
-                    continue
-                name = "trie-par p=%d" % p
-                led = StepLedger()
-                res = par_query_trie(bundle.trie, bundle.trie_dict, pat, p,
-                                     led)
-                if threaded:
-                    _check(report, name + " threaded",
-                           par_query_trie_threaded(bundle.trie,
-                                                   bundle.trie_dict, pat,
-                                                   p).positions)
-                _check(report, name, res.positions)
-                if check_laws and res.found:
-                    # work identity: m characters + one probe per merged
-                    # pair.
-                    if led.work != pat.m + (p - 1):
-                        raise EquivalenceError(
-                            "%s work law violated: work=%d m=%d p=%d "
-                            "(seed=%d)" % (name, led.work, pat.m, p,
-                                           case.seed))
-                report.runs.append(AlgoReport(name, led.work, led.span,
-                                              res.positions, led))
-
-    if "tree-par2" in algorithms:
-        if pat.m < 2:
-            report.skipped.append("tree-par2 (m < 2)")
-        else:
-            led = StepLedger()
-            res = par_query_tree2(bundle.tree, bundle.anc, bundle.tree_dict,
-                                  pat, led)
-            if threaded:
-                _check(report, "tree-par2 threaded",
-                       par_query_tree2_threaded(bundle.tree, bundle.anc,
-                                                bundle.tree_dict,
-                                                pat).positions)
-            _check(report, "tree-par2", res.positions)
-            if check_laws:
-                nav_cap = -(-5 * pat.m // 4) + 2
-                if led.nav_chars > nav_cap:
-                    raise EquivalenceError(
-                        "tree-par2 nav law violated: nav=%d cap=%d (seed=%d)"
-                        % (led.nav_chars, nav_cap, case.seed))
-                if led.span > pat.m + 4:
-                    raise EquivalenceError(
-                        "tree-par2 span law violated: span=%d m=%d (seed=%d)"
-                        % (led.span, pat.m, case.seed))
-            report.runs.append(AlgoReport("tree-par2", led.work, led.span,
-                                          res.positions, led))
-
-    if "interleaved" in algorithms and bundle.layered is not None:
-        for j in j_values:
-            if j > bundle.layered.p:
-                report.skipped.append("interleaved j=%d (j > p)" % j)
+    for algo in ALGORITHMS.values():
+        if algo.name not in algorithms:
+            continue
+        if getattr(bundle, algo.kinds[0]) is None:
+            report.skipped.append("%s (no %s index)" % (algo.name,
+                                                        algo.kinds[0]))
+            continue
+        for param in lane_values[algo.lane]:
+            name = "%s %s=%d" % (algo.name, algo.lane, param) if algo.lane \
+                else algo.name
+            why = algo.unusable(pat, param, bundle)
+            if why:
+                report.skipped.append("%s (%s)" % (name, why))
                 continue
-            name = "interleaved j=%d" % j
             led = StepLedger()
-            res = par_query_interleaved(bundle.layered, pat, j, led)
+            res = algo.run(bundle, pat, param, led, seq_map)
             if threaded:
-                _check(report, name + " threaded",
-                       par_query_interleaved_threaded(bundle.layered, pat,
-                                                      j).positions)
-            _check(report, name, res.positions)
-            if check_laws and res.found and pat.m >= j and j > 1:
-                span_cap = 4 * (pat.m / j) * math.log2(j)
-                if led.span > span_cap:
+                thr_led = StepLedger()
+                thr = algo.run(bundle, pat, param, thr_led, thread_map)
+                _check(report, name + " threaded", thr.positions)
+                if _counts(thr_led) != _counts(led):
                     raise EquivalenceError(
-                        "interleaved span law violated: span=%d cap=%.1f "
-                        "j=%d (seed=%d)" % (led.span, span_cap, j,
-                                            case.seed))
+                        "%s threaded ledger %r differs from simulated %r "
+                        "(work, span, counters; seed=%d)" %
+                        (name, _counts(thr_led), _counts(led), case.seed))
+            _check(report, name, res.positions)
+            broken = algo.law(pat, param, led, res) if check_laws else None
+            if broken:
+                raise EquivalenceError("%s %s (seed=%d)" %
+                                       (name, broken, case.seed))
             report.runs.append(AlgoReport(name, led.work, led.span,
                                           res.positions, led))
-
     return report
 
 

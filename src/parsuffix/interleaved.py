@@ -14,15 +14,15 @@ text and its subtree reported.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .halving import PairDict, PairDictError, probe
+from .lanes import Mapper, is_pow2, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
 from .suffixindex import (ROOT, NodeId, SuffixIndex,
-                          build_generalized_suffix_tree, occurrences,
+                          build_generalized_suffix_tree, descend, occurrences,
                           verify_against_text)
 from .textmodel import Pattern, interleave, make_text
 from .trieparallel import ParameterError
@@ -47,15 +47,11 @@ class LayeredIndex:
         return self.layers[k]
 
 
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
-
-
 def build_layer(raw: bytes | Sequence[int], k: int) -> LayerIndex:
     """Generalized suffix tree over the k interleaved subsequences of the
     text extended with k unique delimiters (so every subsequence ends with
     its own delimiter)."""
-    if not _is_pow2(k):
+    if not is_pow2(k):
         raise ParameterError("layer stride must be a power of two")
     text = make_text(raw, k)
     if text.base_len < 1:
@@ -104,7 +100,7 @@ def _cover(index: SuffixIndex, cur: NodeId, data: Sequence[int], first: int,
 
 
 def build_layered_index(raw: bytes, p: int) -> LayeredIndex:
-    if not _is_pow2(p):
+    if not is_pow2(p):
         raise ParameterError("p must be a power of two")
     idx = LayeredIndex(raw, p)
     k = 1
@@ -116,26 +112,12 @@ def build_layered_index(raw: bytes, p: int) -> LayeredIndex:
     return idx
 
 
-def _record_path_seq(index: SuffixIndex, seq: Sequence[int]) -> tuple[NavPath, bool]:
-    """Navigation path of a raw symbol sequence, root included, stopping at
-    the first node covering the sequence.  Second value is False when the
-    walk fell off before covering the sequence."""
-    cur = ROOT
-    path: NavPath = [(cur, 0)]
-    while index.nodes[cur].cum < len(seq):
-        nxt = index.nodes[cur].children.get(seq[index.nodes[cur].cum])
-        if nxt is None:
-            return path, False
-        cur = nxt
-        path.append((cur, index.nodes[cur].cum))
-    return path, True
-
-
 def deinterleave_paths(path1: NavPath, path2: NavPath, dct: PairDict,
                        ledger: Optional[StepLedger] = None,
-                       lane: str = "merge") -> NavPath:
+                       lane: str = "merge") -> tuple[NavPath, int]:
     """Two-pointer merge of two upper-layer paths into the lower-layer path
-    of their deinterleaving.
+    of their deinterleaving; returns it with the number of probes made,
+    which are also charged to ``ledger`` when one is given.
 
     A stored pair for a lower node whose shortest string has length l pairs
     the path-1 node covering ceil(l/2) with the path-2 node covering
@@ -146,14 +128,6 @@ def deinterleave_paths(path1: NavPath, path2: NavPath, dct: PairDict,
     exactly once.  Successful probes come out in increasing-cum order."""
     lower = dct.target
     hits: dict[NodeId, int] = {}
-
-    def pr(a: NodeId, b: NodeId) -> None:
-        if ledger is not None:
-            ledger.charge(lane, "probes", 1, timed=False)
-        w = probe(dct, dct.owner, a, b)
-        if w is not None:
-            hits[w] = lower.nodes[w].cum
-
     i = j = 0
     while i < len(path1) - 1 or j < len(path2) - 1:
         can1 = i < len(path1) - 1
@@ -163,8 +137,13 @@ def deinterleave_paths(path1: NavPath, path2: NavPath, dct: PairDict,
             i += 1
         else:
             j += 1
-        pr(path1[i][0], path2[j][0])
-    return sorted(hits.items(), key=lambda item: item[1])
+        w = probe(dct, dct.owner, path1[i][0], path2[j][0])
+        if w is not None:
+            hits[w] = lower.nodes[w].cum
+    probes = i + j                     # one per pointer advance
+    if ledger is not None and probes:
+        ledger.charge(lane, "probes", probes, timed=False)
+    return sorted(hits.items(), key=lambda item: item[1]), probes
 
 
 def _sub_len(m: int, i: int, k: int) -> int:
@@ -184,8 +163,8 @@ def _truncate(path: NavPath, length: int) -> NavPath:
 
 
 def _merge_down(index: LayeredIndex, pat: Pattern, j: int,
-                paths: dict[int, NavPath], ledger: StepLedger,
-                nav_ready: int, mapper) -> NavPath:
+                paths: list[NavPath], ledger: StepLedger,
+                nav_ready: int, mapper: Mapper) -> NavPath:
     """lg j rounds of pairwise deinterleaving; at stride k, subsequences i
     and i + k/2 combine into the i-th subsequence of stride k/2.  The merge
     clock models each pair's probes split across its idle lanes."""
@@ -197,59 +176,48 @@ def _merge_down(index: LayeredIndex, pat: Pattern, j: int,
         half = k // 2
 
         def merge_one(i: int) -> tuple[NavPath, int]:
-            before = ledger.probes
-            merged = deinterleave_paths(paths[i], paths[i + half], dct,
-                                        ledger, lane="merge%d" % k)
-            merged = _truncate([(ROOT, 0)] + merged,
-                               _sub_len(pat.m, i, half))
-            return merged, ledger.probes - before
+            merged, nprobes = deinterleave_paths(paths[i - 1],
+                                                 paths[i - 1 + half], dct)
+            return (_truncate([(ROOT, 0)] + merged, _sub_len(pat.m, i, half)),
+                    nprobes)
 
-        results = mapper(merge_one, list(range(1, half + 1)))
+        results = mapper(merge_one, range(1, half + 1))
         spans = []
-        new_paths: dict[int, NavPath] = {}
-        for i, (merged, nprobes) in zip(range(1, half + 1), results):
-            new_paths[i] = merged
+        for _, nprobes in results:
+            if nprobes:
+                ledger.charge("merge%d" % k, "probes", nprobes, timed=False)
             spans.append(math.ceil(nprobes / lanes_per_pair))
-        t = ledger.advance("merge", max(spans, default=0), ready=t)
-        paths = new_paths
+        t = ledger.advance("merge", max(spans), ready=t)
+        paths = [merged for merged, _ in results]
         k = half
         lanes_per_pair *= 2
-    return paths[1]
-
-
-def _seq_mapper(fn, items):
-    return [fn(i) for i in items]
+    return paths[0]
 
 
 def par_query_interleaved(index: LayeredIndex, pat: Pattern, j: int,
                           ledger: Optional[StepLedger] = None,
-                          mapper=_seq_mapper) -> QueryResult:
+                          mapper: Mapper = seq_map) -> QueryResult:
     """Layered query: j lanes navigate the pattern's j-interleaved
     subsequences in layer j, then paths are deinterleaved down to layer 1
-    where the covering node is verified and reported."""
-    if not _is_pow2(j) or j > index.p:
+    where the covering node is verified and reported.  ``mapper`` runs the
+    lanes of each round."""
+    if not is_pow2(j) or j > index.p:
         raise ParameterError("j must be a power of two with j <= p")
     ledger = ledger if ledger is not None else StepLedger()
-    layer = index.layer(j)
-    subs = [tuple(pat.chars[i::j]) for i in range(j)]
-
-    def navigate_lane(i: int) -> tuple[NavPath, bool, int]:
-        path, ok = _record_path_seq(layer.tree, subs[i - 1])
-        chars = min(path[-1][1] + (0 if ok else 1), len(subs[i - 1]))
-        return path, ok, chars
-
-    lane_results = mapper(navigate_lane, list(range(1, j + 1)))
-    paths: dict[int, NavPath] = {}
+    top = index.layer(j).tree
+    navs = mapper(lambda sub: descend(top, sub),
+                  [pat.chars[i::j] for i in range(j)])
     nav_ready = 0
-    for i, (path, ok, chars) in zip(range(1, j + 1), lane_results):
-        if not ok:
+    for i, (_, covered) in enumerate(navs, 1):
+        if not covered:
             return EMPTY
+        chars = _sub_len(pat.m, i, j)
         if chars:
             nav_ready = max(nav_ready,
                             ledger.charge("lane%d" % i, "nav_chars", chars))
-        paths[i] = path
 
-    final = _merge_down(index, pat, j, paths, ledger, nav_ready, mapper)
+    final = _merge_down(index, pat, j, [path for path, _ in navs], ledger,
+                        nav_ready, mapper)
     node, cum = final[-1]
     if node == ROOT or cum < pat.m:
         return EMPTY
@@ -262,10 +230,6 @@ def par_query_interleaved(index: LayeredIndex, pat: Pattern, j: int,
 
 def par_query_interleaved_threaded(index: LayeredIndex, pat: Pattern,
                                    j: int) -> QueryResult:
-    """Thread-per-lane navigation and thread-per-pair merging with a
-    barrier between layers.  Identical results to the simulated mode by
-    construction (same driver, parallel map)."""
-    with ThreadPoolExecutor(max_workers=max(2, j)) as pool:
-        def mapper(fn, items):
-            return list(pool.map(fn, items))
-        return par_query_interleaved(index, pat, j, StepLedger(), mapper)
+    """:func:`par_query_interleaved` with its lanes on the shared thread
+    pool."""
+    return par_query_interleaved(index, pat, j, None, thread_map)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .textmodel import Pattern, Text, is_delimiter, symbol_str
+from .textmodel import Pattern, Text
 
 NodeId = int
 ROOT: NodeId = 0
@@ -41,7 +41,6 @@ class Node:
 
 class NavStatus(Enum):
     FULL_MATCH = "full-match"
-    MISMATCH = "mismatch"
     FELL_OFF = "fell-off"
 
 
@@ -296,31 +295,36 @@ def _scan(idx: SuffixIndex, cur: NodeId, s: int, e: int) -> NodeId:
 # -- queries -----------------------------------------------------------
 
 
+def descend(index: SuffixIndex, seq: Sequence[int]
+            ) -> tuple[list[tuple[NodeId, int]], bool]:
+    """Blind patricia descent along ``seq``'s discriminator symbols, from
+    the root to the first node with cumulative skip >= ``len(seq)``.
+
+    Returns the path as (node, cumulative skip) pairs, root included, and
+    whether its last node covers ``seq``; False means the walk fell off
+    there.  Skipped symbols are not compared: callers verify them."""
+    nodes = index.nodes
+    m = len(seq)
+    nd, cum = nodes[index.root], 0
+    path = [(index.root, cum)]
+    append = path.append
+    while cum < m:
+        cur = nd.children.get(seq[cum])
+        if cur is None:
+            return path, False
+        nd = nodes[cur]
+        cum = nd.cum
+        append((cur, cum))
+    return path, True
+
+
 def navigate(index: SuffixIndex, pat: Pattern) -> NavOutcome:
-    """Patricia navigation: follow discriminator characters until reaching
-    the first node with cumulative skip >= the pattern length."""
-    cur = index.root
-    while index.nodes[cur].cum < pat.m:
-        nxt = index.nodes[cur].children.get(pat.at(index.nodes[cur].cum + 1))
-        if nxt is None:
-            return NavOutcome(cur, index.nodes[cur].cum, NavStatus.FELL_OFF)
-        cur = nxt
-    return NavOutcome(cur, pat.m, NavStatus.FULL_MATCH)
-
-
-def record_path(index: SuffixIndex, pat: Pattern) -> list[tuple[NodeId, int]]:
-    """Like :func:`navigate` but returns every node visited root->final,
-    as (node, cumulative skip) pairs.  On failure the longest successfully
-    navigated path is returned."""
-    cur = index.root
-    path = [(cur, 0)]
-    while index.nodes[cur].cum < pat.m:
-        nxt = index.nodes[cur].children.get(pat.at(index.nodes[cur].cum + 1))
-        if nxt is None:
-            break
-        cur = nxt
-        path.append((cur, index.nodes[cur].cum))
-    return path
+    """Patricia navigation: the end of :func:`descend` as an outcome."""
+    path, covered = descend(index, pat.chars)
+    node, cum = path[-1]
+    if covered:
+        return NavOutcome(node, pat.m, NavStatus.FULL_MATCH)
+    return NavOutcome(node, cum, NavStatus.FELL_OFF)
 
 
 def occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
@@ -344,33 +348,3 @@ def verify_against_text(index: SuffixIndex, nid: NodeId, pat: Pattern) -> bool:
     if r + pat.m - 1 > len(index.data):
         return False
     return index.data[r - 1: r - 1 + pat.m] == pat.chars
-
-
-# -- test / debugging helpers -----------------------------------------
-
-
-def find_exact(index: SuffixIndex, chars: Sequence[int]) -> Optional[NodeId]:
-    """The node whose longest corresponding substring is exactly ``chars``,
-    or None.  Compares every character, not just discriminators."""
-    want = tuple(chars)
-    cur = index.root
-    while index.nodes[cur].cum < len(want):
-        nxt = index.nodes[cur].children.get(want[index.nodes[cur].cum])
-        if nxt is None:
-            return None
-        cur = nxt
-    if index.nodes[cur].cum != len(want):
-        return None
-    return cur if index.spelling(cur) == want else None
-
-
-def find_node(index: SuffixIndex, label: str) -> NodeId:
-    """Test helper: node for an ASCII label, raising if absent."""
-    nid = find_exact(index, tuple(label.encode()))
-    if nid is None:
-        raise KeyError("no node for %r" % label)
-    return nid
-
-
-def describe(index: SuffixIndex, nid: NodeId) -> str:
-    return "".join(symbol_str(c) for c in index.spelling(nid))

@@ -31,15 +31,15 @@ critical path, as is the terminal text verification.
 
 from __future__ import annotations
 
-import queue
-import threading
-from typing import Iterator, Optional
+from typing import Optional
 
 from .ancestry import AncestryIndex, shorten
 from .halving import PairDict, probe
+from .lanes import Mapper, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
-from .suffixindex import ROOT, NodeId, SuffixIndex, occurrences, verify_against_text
+from .suffixindex import (ROOT, NodeId, SuffixIndex, descend, occurrences,
+                          verify_against_text)
 from .textmodel import Pattern
 from .trieparallel import ParameterError
 
@@ -55,54 +55,21 @@ class _LeafExit(Exception):
         self.candidate = candidate
 
 
-_STOP_END = ("stop", None, 0)
-_STOP_FELL_OFF = ("fell-off", None, 0)
-
-
-def _lane1_edges(tree: SuffixIndex, pat: Pattern, half: int,
-                 ledger: Optional[StepLedger]) -> Iterator[tuple[str, Optional[NodeId], int]]:
-    """Lane 1's walk of Q[1 .. half], one (kind, node, done_time) event per
-    edge.  Lazy, so work is charged only for edges actually consumed."""
-    cur = ROOT
-    while tree.nodes[cur].cum < half:
-        nxt = tree.nodes[cur].children.get(pat.at(tree.nodes[cur].cum + 1))
-        if nxt is None:
-            yield _STOP_FELL_OFF
-            return
-        chars = min(tree.nodes[nxt].cum, half) - tree.nodes[cur].cum
-        t = ledger.charge("lane1", "nav_chars", chars) if ledger else 0
-        yield ("edge", nxt, t)
-        cur = nxt
-    yield _STOP_END
-
-
-class _Peekable:
-    def __init__(self, it: Iterator) -> None:
-        self._it = it
-        self._buf: Optional[tuple] = None
-
-    def peek(self) -> tuple:
-        if self._buf is None:
-            self._buf = next(self._it)
-        return self._buf
-
-    def next(self) -> tuple:
-        item = self.peek()
-        self._buf = None
-        return item
-
-
 class _TwoLaneDriver:
-    """Runs the probe sweep against a stream of lane-1 edges."""
+    """Runs the probe sweep against lane 1's walk of Q[1 .. half]: the
+    path :func:`descend` returned and whether it covers the subquery."""
 
     def __init__(self, tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
-                 pat: Pattern, ledger: StepLedger, lane1) -> None:
+                 pat: Pattern, ledger: StepLedger,
+                 lane1: tuple[list[tuple[NodeId, int]], bool]) -> None:
         self.tree = tree
         self.anc = anc
         self.dct = dct
         self.pat = pat
         self.ledger = ledger
-        self.lane1 = _Peekable(lane1)
+        self.walk1, self.walk1_covers = lane1
+        self.next1 = 1                       # walk1 index of lane 1's next node
+        self.edge_t1: list[int] = []         # done times of the peeked edges
         m = pat.m
         self.m = m
         self.half = (m + 1) // 2
@@ -111,14 +78,12 @@ class _TwoLaneDriver:
         self.b1: NodeId = ROOT
         self.cum1 = 0
         self.t1 = 0
-        self.lane1_done = False
         self.b2: NodeId = ROOT
         self.cum2 = 0                        # matched length of lane 2
         self.e2 = self.start2                # right end of lane 2's string in Q
         self.t2 = 0
         self.hits: set[NodeId] = set()
         self.probed: set[tuple[NodeId, NodeId]] = set()
-        self.path1: dict[int, NodeId] = {0: ROOT}   # lane 1's visited nodes
         self.aligned = False
 
     # -- lane helpers ---------------------------------------------------
@@ -129,24 +94,27 @@ class _TwoLaneDriver:
         return self.e2 - self.cum2
 
     def _lane1_peek_edge(self) -> Optional[NodeId]:
-        if self.lane1_done:
+        """Lane 1's next node, None once its subquery is covered.  An edge
+        is charged when first peeked, so only edges the sweep reaches
+        count as work."""
+        k = self.next1
+        if k == len(self.walk1):
+            if not self.walk1_covers:
+                raise _Absent
             return None
-        kind, node, _ = self.lane1.peek()
-        if kind == "fell-off":
-            raise _Absent
-        if kind == "stop":
-            self.lane1_done = True
-            return None
-        return node
+        if len(self.edge_t1) < k:
+            chars = min(self.walk1[k][1], self.half) - self.walk1[k - 1][1]
+            self.edge_t1.append(self.ledger.charge("lane1", "nav_chars",
+                                                   chars))
+        return self.walk1[k][0]
 
     def _lane1_advance(self, reconcile: bool = True) -> None:
-        _, node, t = self.lane1.next()
-        self.b1 = node
-        self.cum1 = self.tree.nodes[node].cum
-        self.t1 = t
-        self.path1[self.cum1] = node
-        if self.tree.nodes[node].is_leaf:
-            raise _LeafExit(self.tree.nodes[node].ref)
+        """Move lane 1 onto the edge the caller has peeked."""
+        self.b1, self.cum1 = self.walk1[self.next1]
+        self.t1 = self.edge_t1[self.next1 - 1]
+        self.next1 += 1
+        if self.tree.nodes[self.b1].is_leaf:
+            raise _LeafExit(self.tree.nodes[self.b1].ref)
         if reconcile:
             self._apply_overlap()
 
@@ -178,8 +146,9 @@ class _TwoLaneDriver:
         front, probing each replayed state (splits in that band would
         otherwise be passed without a probe)."""
         base_b2, base_cum2, base_anchor = self.b2, self.cum2, self.anchor
-        for v in sorted(v for v in self.path1
-                        if base_anchor <= v <= self.cum1):
+        for node1, v in self.walk1[:self.next1]:
+            if v < base_anchor:
+                continue
             d = v - base_anchor
             if d >= base_cum2 and d > 0:
                 node_v, cum_v = ROOT, 0
@@ -190,12 +159,12 @@ class _TwoLaneDriver:
                 cum_v = base_cum2 - d
                 self.t2 = self.ledger.charge("lane2", "shortens", 1,
                                              ready=self.t1 + 1)
-            self._probe_ancestry(self.path1[v], node_v)
+            self._probe_ancestry(node1, node_v)
             # lane 2's next node may complete this split's stored pair
             if cum_v == self.tree.nodes[node_v].cum and self.e2 < self.m:
                 nxt = self.tree.nodes[node_v].children.get(self.pat.at(self.e2 + 1))
                 if nxt is not None:
-                    self._probe(self.path1[v], nxt)
+                    self._probe(node1, nxt)
             if v == self.cum1:
                 self.b2, self.cum2 = node_v, cum_v
                 if node_v == ROOT and v > base_anchor:
@@ -369,46 +338,21 @@ class _TwoLaneDriver:
 
 
 def par_query_tree2(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
-                    pat: Pattern,
-                    ledger: Optional[StepLedger] = None) -> QueryResult:
-    """Deterministic simulated two-lane suffix-tree query."""
+                    pat: Pattern, ledger: Optional[StepLedger] = None,
+                    mapper: Mapper = seq_map) -> QueryResult:
+    """Two-lane suffix-tree query.  ``mapper`` runs lane 1's walk; the
+    probe sweep runs in the calling thread and charges ``ledger``."""
     _check_args(tree, dct, pat)
     ledger = ledger if ledger is not None else StepLedger()
-    lane1 = _lane1_edges(tree, pat, (pat.m + 1) // 2, ledger)
+    [lane1] = mapper(lambda sub: descend(tree, sub),
+                     [pat.chars[:(pat.m + 1) // 2]])
     return _TwoLaneDriver(tree, anc, dct, pat, ledger, lane1).run()
 
 
 def par_query_tree2_threaded(tree: SuffixIndex, anc: AncestryIndex,
                              dct: PairDict, pat: Pattern) -> QueryResult:
-    """Pipelined execution: a producer thread walks lane 1's whole subquery
-    into a bounded queue; lane 2 consumes the edge events.  Results are
-    identical to the simulated mode because the driver logic is shared."""
-    _check_args(tree, dct, pat)
-    q: queue.Queue = queue.Queue(maxsize=4)
-
-    def produce() -> None:
-        for event in _lane1_edges(tree, pat, (pat.m + 1) // 2, None):
-            q.put(event)
-
-    worker = threading.Thread(target=produce, daemon=True)
-    worker.start()
-
-    def consume() -> Iterator[tuple]:
-        while True:
-            event = q.get()
-            yield event
-            if event[0] != "edge":
-                return
-
-    try:
-        return _TwoLaneDriver(tree, anc, dct, pat, StepLedger(), consume()).run()
-    finally:
-        # drain so the producer can finish even if the driver exited early
-        while worker.is_alive():
-            try:
-                q.get_nowait()
-            except queue.Empty:
-                worker.join(timeout=0.01)
+    """:func:`par_query_tree2` with lane 1 on the shared thread pool."""
+    return par_query_tree2(tree, anc, dct, pat, None, thread_map)
 
 
 def _check_args(tree: SuffixIndex, dct: PairDict, pat: Pattern) -> None:

@@ -10,14 +10,14 @@ merge rounds then probe adjacent representatives.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .halving import PairDict, probe
+from .lanes import Mapper, is_pow2, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
-from .suffixindex import ROOT, NodeId, SuffixIndex, occurrences
+from .suffixindex import ROOT, NodeId, SuffixIndex, descend, occurrences
 from .textmodel import Pattern
 
 
@@ -32,14 +32,10 @@ class SubqueryAssignment:
     offsets: tuple[int, ...]   # 1-based start of each chunk
 
 
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
-
-
 def assign_subqueries(m: int, p: int) -> SubqueryAssignment:
     """Chunk lengths by recursive halving: split m into ceil | floor and
     recurse lg p times.  Requires p a power of two with p < 2m."""
-    if not _is_pow2(p):
+    if not is_pow2(p):
         raise ParameterError("p must be a power of two")
     if not 1 <= p < 2 * m:
         raise ParameterError("need 1 <= p < 2m")
@@ -58,43 +54,33 @@ def assign_subqueries(m: int, p: int) -> SubqueryAssignment:
     return SubqueryAssignment(p, tuple(lengths), tuple(offsets))
 
 
-def _navigate_chunk(trie: SuffixIndex, pat: Pattern, off: int, ln: int
-                    ) -> tuple[NodeId, int]:
-    """Walk one chunk from the root; returns (node, chars consumed).
-    Consumed < ln signals a fell-off lane."""
-    cur = ROOT
-    for step in range(ln):
-        nxt = trie.nodes[cur].children.get(pat.at(off + step))
-        if nxt is None:
-            return cur, step + 1   # the failing comparison is still a step
-        cur = nxt
-    return cur, ln
-
-
 def par_query_trie(trie: SuffixIndex, dct: PairDict, pat: Pattern, p: int,
-                   ledger: Optional[StepLedger] = None) -> QueryResult:
+                   ledger: Optional[StepLedger] = None,
+                   mapper: Mapper = seq_map) -> QueryResult:
     """Algorithm: p lanes navigate their chunks, then lg p merge rounds
     probe adjacent pairs.  Any navigation or probe failure means the
-    pattern is absent."""
+    pattern is absent.  ``mapper`` runs the lanes' navigation; a merge
+    round is one dictionary lookup per lane and runs in the calling
+    thread."""
     if trie.kind != "trie":
         raise ParameterError("par_query_trie requires a suffix trie")
     if dct.owner is not trie:
         raise ParameterError("dictionary was built from a different index")
     ledger = ledger if ledger is not None else StepLedger()
     asn = assign_subqueries(pat.m, p)
+    chunks = [pat.chars[off - 1:off - 1 + ln]
+              for off, ln in zip(asn.offsets, asn.lengths)]
+    navs = mapper(lambda chunk: descend(trie, chunk), chunks)
 
     reps: list[NodeId] = [ROOT] * (p + 1)     # 1-based lanes
     done: list[int] = [0] * (p + 1)           # lane completion times
-    failed = False
-    for i in range(1, p + 1):
-        node, consumed = _navigate_chunk(trie, pat, asn.offsets[i - 1],
-                                         asn.lengths[i - 1])
+    for i, (path, covered) in enumerate(navs, 1):
+        reps[i], cum = path[-1]
+        # a fell-off lane still paid for its failing comparison
+        consumed = cum if covered else cum + 1
         if consumed > 0:
             done[i] = ledger.charge("lane%d" % i, "nav_chars", consumed)
-        reps[i] = node
-        if trie.nodes[node].cum != asn.lengths[i - 1]:
-            failed = True
-    if failed:
+    if not all(covered for _, covered in navs):
         return EMPTY
 
     j = 1
@@ -116,27 +102,5 @@ def par_query_trie(trie: SuffixIndex, dct: PairDict, pat: Pattern, p: int,
 
 def par_query_trie_threaded(trie: SuffixIndex, dct: PairDict, pat: Pattern,
                             p: int) -> QueryResult:
-    """Thread-per-lane execution; merge rounds are barrier-separated.
-    Result sets are identical to the simulated mode by construction."""
-    if trie.kind != "trie":
-        raise ParameterError("par_query_trie requires a suffix trie")
-    asn = assign_subqueries(pat.m, p)
-    with ThreadPoolExecutor(max_workers=p) as pool:
-        navs = list(pool.map(
-            lambda i: _navigate_chunk(trie, pat, asn.offsets[i], asn.lengths[i]),
-            range(p)))
-        if any(trie.nodes[node].cum != asn.lengths[i]
-               for i, (node, _) in enumerate(navs)):
-            return EMPTY
-        reps = {i + 1: node for i, (node, _) in enumerate(navs)}
-        j = 1
-        while j < p:
-            groups = list(range(1, p + 1, 2 * j))
-            results = list(pool.map(
-                lambda g: probe(dct, trie, reps[g], reps[g + j]), groups))
-            if any(w is None for w in results):
-                return EMPTY
-            for g, w in zip(groups, results):
-                reps[g] = w
-            j *= 2
-    return QueryResult(tuple(occurrences(trie, reps[1])), reps[1])
+    """:func:`par_query_trie` with its lanes on the shared thread pool."""
+    return par_query_trie(trie, dct, pat, p, None, thread_map)

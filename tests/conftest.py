@@ -1,4 +1,5 @@
-"""Shared fixtures: the ABRACADABRA reference indexes and naive oracles."""
+"""Shared fixtures: the ABRACADABRA reference indexes, naive oracles and
+node lookups by label."""
 
 from __future__ import annotations
 
@@ -8,9 +9,28 @@ import pytest
 
 from parsuffix import (build_ancestry, build_layered_index, build_suffix_tree,
                        build_suffix_trie, build_tree_halving_dict,
-                       build_trie_halving_dict, make_text)
+                       build_trie_halving_dict, descend, make_text)
 
 ABRA = b"ABRACADABRA"
+
+
+def find_exact(index, chars):
+    """The node whose longest corresponding substring is exactly ``chars``,
+    or None.  Compares every character, not just discriminators."""
+    want = tuple(chars)
+    path, covered = descend(index, want)
+    node, cum = path[-1]
+    if not covered or cum != len(want) or index.spelling(node) != want:
+        return None
+    return node
+
+
+def find_node(index, label: str):
+    """Node for an ASCII label, raising if absent."""
+    nid = find_exact(index, tuple(label.encode()))
+    if nid is None:
+        raise KeyError("no node for %r" % label)
+    return nid
 
 
 def naive_positions(raw: bytes, pat: bytes) -> tuple[int, ...]:

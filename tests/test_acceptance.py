@@ -31,13 +31,13 @@ from parsuffix import (build_ancestry, build_container, build_layered_index,
                        par_query_tree2, par_query_trie, probe, run_corpus,
                        seq_query)
 from parsuffix.harness import generate_corpus
-from parsuffix.interleaved import (_record_path_seq, _sub_len, _truncate,
-                                   deinterleave_paths)
+from parsuffix.interleaved import _sub_len, _truncate, deinterleave_paths
 from parsuffix.ledger import StepLedger
-from parsuffix.suffixindex import ROOT, find_exact, find_node
+from parsuffix.suffixindex import ROOT, descend
 from parsuffix.textmodel import Pattern
 
-from conftest import ABRA, distinct_substrings, naive_positions, random_text
+from conftest import (ABRA, distinct_substrings, find_exact, find_node,
+                      naive_positions, random_text)
 
 TRIALS = 1000
 SEED = 20260823
@@ -137,8 +137,7 @@ def test_criterion_4_interleaved_bounds(corpus_reports):
                 paths = {}
                 ok = True
                 for lane in range(1, j + 1):
-                    path, full = _record_path_seq(tree,
-                                                  tuple(q[lane - 1::j]))
+                    path, full = descend(tree, tuple(q[lane - 1::j]))
                     ok = ok and full
                     paths[lane] = path
                 if not ok:
@@ -149,9 +148,9 @@ def test_criterion_4_interleaved_bounds(corpus_reports):
                     nxt = {}
                     for lane in range(1, half + 1):
                         led = StepLedger()
-                        merged = deinterleave_paths(paths[lane],
-                                                    paths[lane + half],
-                                                    idx.dicts[k], led)
+                        merged, _ = deinterleave_paths(paths[lane],
+                                                       paths[lane + half],
+                                                       idx.dicts[k], led)
                         probe_checked += 1
                         if led.probes > 2 * (len(paths[lane]) +
                                              len(paths[lane + half])):

@@ -6,9 +6,8 @@ import pytest
 
 from parsuffix import ROOT, build_ancestry, build_suffix_tree, make_text
 from parsuffix.ancestry import AncestryError, level_ancestor_sl, shorten
-from parsuffix.suffixindex import find_node
 
-from conftest import random_text
+from conftest import find_node, random_text
 
 
 def naive_links(anc, nid, steps):

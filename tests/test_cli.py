@@ -101,6 +101,17 @@ def test_query_clamps_oversized_p(tmp_path, abra_file, capsys):
     assert "clamped" in cap.err
 
 
+@pytest.mark.parametrize("p", ["3", "0"])
+def test_query_clamps_unusable_interleaved_j(tmp_path, abra_file, capsys, p):
+    ilv = build(tmp_path, abra_file, "interleaved", p=4)
+    capsys.readouterr()
+    assert main(["query", "--index", ilv, "--pattern", "ABRA",
+                 "--algo", "interleaved", "--p", p, "--locate"]) == 0
+    cap = capsys.readouterr()
+    assert cap.out.strip() == "1 8"
+    assert "clamped" in cap.err
+
+
 def test_query_algo_index_mismatch(tmp_path, abra_file, capsys):
     tree = build(tmp_path, abra_file, "tree")
     capsys.readouterr()
@@ -124,6 +135,24 @@ def test_threaded_query(tmp_path, abra_file, capsys):
     assert main(["query", "--index", idx, "--pattern", "ABRA",
                  "--algo", "tree-par2", "--threads", "--locate"]) == 0
     assert capsys.readouterr().out.strip() == "1 8"
+
+
+@pytest.mark.parametrize("kind,algo,p", [("tree", "tree-par2", "2"),
+                                         ("trie", "trie-par", "2"),
+                                         ("interleaved", "interleaved", "4")])
+def test_threaded_query_stats_match_simulated(tmp_path, abra_file, capsys,
+                                              kind, algo, p):
+    """--threads runs the same algorithm on a thread pool and charges the
+    same ledger, so the stats columns agree."""
+    idx = build(tmp_path, abra_file, kind, p=4)
+    capsys.readouterr()
+    lines = []
+    for extra in ([], ["--threads"]):
+        assert main(["query", "--index", idx, "--pattern", "ABRA", "--algo",
+                     algo, "--p", p, "--stats"] + extra) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+    assert "work=0" not in lines[1]
 
 
 def test_bench_table(tmp_path, abra_file, capsys):

@@ -8,9 +8,8 @@ from parsuffix import (ROOT, build_suffix_tree, build_suffix_trie,
                        build_tree_halving_dict, build_trie_halving_dict,
                        make_text, probe)
 from parsuffix.halving import PairDict, PairDictError
-from parsuffix.suffixindex import find_node
 
-from conftest import random_text
+from conftest import find_node, random_text
 
 
 def test_trie_dict_golden(abra_trie, abra_trie_dict):

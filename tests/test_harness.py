@@ -1,9 +1,13 @@
 """Corpus harness: oracle, determinism, and the run_case contract."""
 
+import dataclasses
+
 import pytest
 
-from parsuffix import CorpusCase, generate_corpus, oracle_scan, run_case
-from parsuffix.harness import EquivalenceError
+from parsuffix import (CorpusCase, generate_corpus, oracle_scan,
+                       par_query_tree2, run_case)
+from parsuffix.harness import ALGORITHMS, EquivalenceError
+from parsuffix.lanes import seq_map
 from parsuffix.textmodel import Pattern
 
 
@@ -60,3 +64,19 @@ def test_large_case_skips_trie():
     report = run_case(case)
     assert any(s.startswith("trie-par") for s in report.skipped)
     assert any(r.name == "tree-par2" for r in report.runs)
+
+
+def test_threaded_run_case_compares_ledgers(monkeypatch):
+    case = CorpusCase(seed=7, n=64, sigma=2, m=9, mode="present")
+    report = run_case(case, threaded=True)
+    assert report.runs
+    # a threaded mode that charges a throwaway ledger must be caught
+    throwaway = dataclasses.replace(
+        ALGORITHMS["tree-par2"],
+        run=lambda b, pat, _, led, mapper: par_query_tree2(
+            b.tree, b.anc, b.tree_dict, pat,
+            led if mapper is seq_map else None, mapper))
+    monkeypatch.setitem(ALGORITHMS, "tree-par2", throwaway)
+    run_case(case, algorithms=("tree-par2",))
+    with pytest.raises(EquivalenceError, match="threaded ledger"):
+        run_case(case, algorithms=("tree-par2",), threaded=True)

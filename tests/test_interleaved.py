@@ -10,12 +10,11 @@ from parsuffix import (ParameterError, StepLedger, build_layer,
                        deinterleave_paths, par_query_interleaved,
                        par_query_interleaved_threaded)
 from parsuffix.halving import probe
-from parsuffix.interleaved import _record_path_seq
-from parsuffix.suffixindex import ROOT, find_exact, record_path
+from parsuffix.suffixindex import ROOT, descend
 from parsuffix.textmodel import (Pattern, deinterleave2, interleave,
                                  is_delimiter, make_text)
 
-from conftest import ABRA, naive_positions, random_text
+from conftest import ABRA, find_exact, naive_positions, random_text
 
 
 def node_label(tree, nid):
@@ -95,11 +94,11 @@ def test_dict_requires_adjacent_layers():
 def test_deinterleave_paths_golden():
     idx = build_layered_index(ABRA, 2)
     up = idx.layers[2].tree
-    p1, ok1 = _record_path_seq(up, tuple(b"AR"))
-    p2, ok2 = _record_path_seq(up, tuple(b"BA"))
+    p1, ok1 = descend(up, tuple(b"AR"))
+    p2, ok2 = descend(up, tuple(b"BA"))
     assert ok1 and ok2
     led = StepLedger()
-    merged = deinterleave_paths(p1, p2, idx.dicts[2], led)
+    merged, _ = deinterleave_paths(p1, p2, idx.dicts[2], led)
     labels = [bytes(node_label(idx.layers[1].tree, nid))
               for nid, _ in merged]
     assert labels == [b"A", b"ABRA"]
@@ -117,12 +116,12 @@ def test_path_recovery_property():
         m = rng.randrange(1, len(raw) + 1)
         i = rng.randrange(0, len(raw) - m + 1)
         q = raw[i:i + m]
-        p1, ok1 = _record_path_seq(up, tuple(q[0::2]))
-        p2, ok2 = _record_path_seq(up, tuple(q[1::2]))
+        p1, ok1 = descend(up, tuple(q[0::2]))
+        p2, ok2 = descend(up, tuple(q[1::2]))
         if not (ok1 and ok2):
             continue
-        merged = deinterleave_paths(p1, p2, idx.dicts[2])
-        want = record_path(low, Pattern.from_bytes(q))[1:]  # drop the root
+        merged, _ = deinterleave_paths(p1, p2, idx.dicts[2])
+        want = descend(low, q)[0][1:]  # drop the root
         # merged may carry extra deeper hits; its prefix must match
         assert merged[:len(want)] == want, (raw, q)
 

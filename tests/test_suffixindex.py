@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsuffix import (ROOT, build_suffix_tree, build_suffix_trie, make_text,
-                       navigate, occurrences, record_path,
-                       verify_against_text)
+from parsuffix import (ROOT, build_suffix_tree, build_suffix_trie, descend,
+                       make_text, navigate, occurrences, verify_against_text)
 from parsuffix.interleaved import build_layer
-from parsuffix.suffixindex import NavStatus, find_exact, find_node
+from parsuffix.suffixindex import NavStatus
 from parsuffix.textmodel import Pattern, interleave
 
-from conftest import ABRA, distinct_substrings, naive_positions, random_text
+from conftest import (ABRA, distinct_substrings, find_exact, find_node,
+                      naive_positions, random_text)
 
 
 def test_trie_node_count_small():
@@ -82,9 +82,9 @@ def test_navigate_golden(abra_tree):
 
 def test_record_path_layer2_goldens():
     layer = build_layer(ABRA, 2).tree
-    path = record_path(layer, Pattern.from_bytes(b"AR"))
+    path, _ = descend(layer, b"AR")
     assert [cum for _, cum in path] == [0, 1, 2]
-    path = record_path(layer, Pattern.from_bytes(b"BA"))
+    path, _ = descend(layer, b"BA")
     assert [cum for _, cum in path] == [0, 2]
 
 
