@@ -80,12 +80,11 @@ def _bundle(cont: Container, algos: list[Algorithm]) -> IndexBundle:
     return b
 
 
-def _run_query(algo: Algorithm, b: IndexBundle, raw_pat: bytes, p: int,
+def _run_query(algo: Algorithm, b: IndexBundle, pat: Pattern, p: int,
                mapper: Mapper, ledger: StepLedger) -> QueryResult:
     """Runs one query, clamping an unusable lane count to the largest
     usable power of two; an algorithm without a lane count that cannot
     take the pattern answers it sequentially."""
-    pat = Pattern.from_bytes(raw_pat)
     param = p if algo.lane else None
     why = algo.unusable(pat, param, b)
     if why and algo.lane:
@@ -111,7 +110,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     mapper = thread_map if args.threads else seq_map
     for raw_pat in _read_patterns(args):
         led = StepLedger()
-        res = _run_query(algo, b, raw_pat, args.p, mapper, led)
+        res = _run_query(algo, b, Pattern.from_bytes(raw_pat), args.p,
+                         mapper, led)
         if args.count:
             line = str(len(res.positions))
         else:
@@ -129,10 +129,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     b = _bundle(cont, algos)
     print("m\talgorithm\twork\tspan\tprobes")
     for raw_pat in _read_patterns(args):
+        pat = Pattern.from_bytes(raw_pat)
         for algo in algos:
+            # no lane count to clamp: its row would hold seq's counts
+            why = None if algo.lane else algo.unusable(pat, None, b)
+            if why:
+                _warn("%s skipped for m=%d (%s)" % (algo.name, pat.m, why))
+                continue
             led = StepLedger()
-            _run_query(algo, b, raw_pat, args.p, seq_map, led)
-            print("%d\t%s\t%d\t%d\t%d" % (len(raw_pat), algo.name, led.work,
+            _run_query(algo, b, pat, args.p, seq_map, led)
+            print("%d\t%s\t%d\t%d\t%d" % (pat.m, algo.name, led.work,
                                           led.span, led.probes))
     return 0
 

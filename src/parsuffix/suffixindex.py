@@ -15,9 +15,11 @@ with a unique delimiter, so no suffix is a prefix of another.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .textmodel import Pattern, Text
 
@@ -71,6 +73,10 @@ class SuffixIndex:
         self.stride = stride
         self.nodes: list[Node] = [Node(parent=None, skip=0, cum=0)]
         self.root: NodeId = ROOT
+        # the reporting range, built by finalize()
+        self.leaf_pos = array("i")
+        self.leaf_lo = array("i")
+        self.leaf_hi = array("i")
 
     # -- raw access ---------------------------------------------------
 
@@ -102,42 +108,57 @@ class SuffixIndex:
         nd = self.nodes[nid]
         return nd.cum - nd.skip + 1
 
-    def leaves_under(self, nid: NodeId) -> Iterable[Node]:
-        stack = [nid]
-        while stack:
-            nd = self.nodes[stack.pop()]
-            if nd.is_leaf:
-                yield nd
-            else:
-                stack.extend(reversed(list(nd.children.values())))
-
     def data_pos_to_text_pos(self, dpos: int) -> int:
         """Map a 1-based data position to the 1-based original-text position
         of the symbol stored there (delimiter tail positions map past n)."""
-        si = 0
-        for i, start in enumerate(self.seq_starts):
-            if start <= dpos:
-                si = i
-            else:
-                break
+        si = bisect_right(self.seq_starts, dpos) - 1
         offset = dpos - self.seq_starts[si]          # 0-based within sequence
         return (si + 1) + offset * self.stride
 
     def finalize(self) -> None:
-        """Sort children by symbol and recompute leftmost leaf refs
-        bottom-up, so tree order and serialization are deterministic."""
-        order = self._topo_order()
-        for nid in order:
-            nd = self.nodes[nid]
-            nd.children = dict(sorted(nd.children.items()))
-        for nid in reversed(order):
-            nd = self.nodes[nid]
-            if nd.is_leaf:
-                if nd.ref is not None:
-                    nd.leftmost_leaf_ref = nd.ref
-            else:
-                first = next(iter(nd.children.values()))
-                nd.leftmost_leaf_ref = self.nodes[first].leftmost_leaf_ref
+        """Sort children by symbol, recompute leftmost leaf refs and build
+        the reporting range, in one preorder walk in sorted child order.
+
+        ``leaf_pos`` lists the text positions of the reported leaves (those
+        with a suffix ref that starts in the text, not in the delimiter
+        tail) in leaf order; ``leaf_pos[leaf_lo[v]:leaf_hi[v]]`` are the
+        ones below node ``v``."""
+        nodes = self.nodes
+        base_len = self.text.base_len
+        # a plain index's data positions are its text positions
+        to_text = None if len(self.seq_starts) == 1 and self.stride == 1 \
+            else self.data_pos_to_text_pos
+        lo = array("i", bytes(4 * len(nodes)))
+        hi = array("i", lo)
+        pos = array("i")
+        pending: list[Node] = []      # visited, leftmost leaf not yet seen
+        stack = [self.root]
+        while stack:
+            nid = stack.pop()
+            if nid < 0:               # ~v: v's subtree is done
+                hi[~nid] = len(pos)
+                continue
+            nd = nodes[nid]
+            lo[nid] = len(pos)
+            children = nd.children
+            if children:
+                if len(children) > 1:
+                    children = nd.children = dict(sorted(children.items()))
+                pending.append(nd)
+                stack.append(~nid)
+                stack.extend(reversed(children.values()))
+                continue
+            ref = nd.ref
+            if ref is not None:
+                nd.leftmost_leaf_ref = ref
+                tpos = to_text(ref) if to_text else ref
+                if tpos <= base_len:
+                    pos.append(tpos)
+            hi[nid] = len(pos)
+            for up in pending:
+                up.leftmost_leaf_ref = nd.leftmost_leaf_ref
+            pending.clear()
+        self.leaf_pos, self.leaf_lo, self.leaf_hi = pos, lo, hi
 
     def _topo_order(self) -> list[NodeId]:
         order: list[NodeId] = []
@@ -329,16 +350,9 @@ def navigate(index: SuffixIndex, pat: Pattern) -> NavOutcome:
 
 def occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
     """Sorted 1-based text positions of all suffixes below ``nid``,
-    excluding suffixes that begin inside the delimiter tail."""
-    out = []
-    for leaf in index.leaves_under(nid):
-        if leaf.ref is None:
-            continue
-        pos = index.data_pos_to_text_pos(leaf.ref)
-        if pos <= index.text.base_len:
-            out.append(pos)
-    out.sort()
-    return out
+    excluding suffixes that begin inside the delimiter tail: a slice of
+    the leaf-order range :meth:`SuffixIndex.finalize` builds."""
+    return sorted(index.leaf_pos[index.leaf_lo[nid]:index.leaf_hi[nid]])
 
 
 def verify_against_text(index: SuffixIndex, nid: NodeId, pat: Pattern) -> bool:

@@ -1,7 +1,8 @@
 """Reference builders that insert every suffix and walk every dictionary
-part from the root.  Quadratic on repetitive texts; the library's
-McCreight builder and suffix-link based dictionaries must match them
-exactly (node ids included)."""
+part from the root, and occurrence reporting by a walk over the subtree.
+Quadratic on repetitive texts; the library's McCreight builder,
+suffix-link based dictionaries and leaf-order reporting range must match
+them exactly (node ids included)."""
 
 from __future__ import annotations
 
@@ -109,6 +110,22 @@ def walk_cover(index: SuffixIndex, seq: Sequence[int]) -> NodeId:
     while index.nodes[cur].cum < len(seq):
         cur = index.nodes[cur].children[seq[index.nodes[cur].cum]]
     return cur
+
+
+def naive_occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
+    """Sorted text positions of the leaves below ``nid``, found by walking
+    its subtree; suffixes starting in the delimiter tail are left out."""
+    out = []
+    stack = [nid]
+    while stack:
+        nd = index.nodes[stack.pop()]
+        if nd.children:
+            stack.extend(nd.children.values())
+        elif nd.ref is not None:
+            pos = index.data_pos_to_text_pos(nd.ref)
+            if pos <= index.text.base_len:
+                out.append(pos)
+    return sorted(out)
 
 
 def naive_suffix_links(tree: SuffixIndex) -> list[NodeId]:

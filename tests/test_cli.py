@@ -166,6 +166,20 @@ def test_bench_table(tmp_path, abra_file, capsys):
     assert len(lines) == 5          # header + 2 patterns x 2 algorithms
 
 
+def test_bench_skips_tree_par2_for_one_char_pattern(tmp_path, abra_file,
+                                                    capsys):
+    """tree-par2 needs m >= 2; its m=1 row held seq's counts under its
+    name."""
+    idx = build(tmp_path, abra_file, "tree")
+    capsys.readouterr()
+    assert main(["bench", "--index", idx, "--pattern", "A",
+                 "--pattern", "AB"]) == 0
+    cap = capsys.readouterr()
+    rows = [line.split("\t")[:2] for line in cap.out.splitlines()[1:]]
+    assert rows == [["1", "seq"], ["2", "seq"], ["2", "tree-par2"]]
+    assert "tree-par2 skipped for m=1 (m < 2)" in cap.err
+
+
 def test_selftest_pass_and_report(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["selftest", "--n", "64", "--sigma", "3", "--trials", "15",

@@ -9,13 +9,15 @@ import pytest
 from parsuffix import (build_ancestry, build_container, build_layered_index,
                        build_suffix_tree, build_suffix_trie,
                        build_tree_halving_dict, build_trie_halving_dict,
-                       dump_container, make_text)
+                       dump_container, load_container, make_text, occurrences)
 from parsuffix.ancestry import suffix_links
 from parsuffix.serial import Container
+from parsuffix.suffixindex import ROOT
 
 from conftest import random_text
-from naive_oracle import (naive_layered_index, naive_suffix_links,
-                          naive_suffix_tree, naive_trie_dict, naive_tree_dict)
+from naive_oracle import (naive_layered_index, naive_occurrences,
+                          naive_suffix_links, naive_suffix_tree,
+                          naive_trie_dict, naive_tree_dict)
 
 N = 300
 TRIE_N = 100          # the trie oracle is cubic in the text length
@@ -89,6 +91,40 @@ def test_layers_match_oracle(raw):
         assert got.dicts[k].entries == want.dicts[k].entries
     assert dump_container(Container("interleaved", raw, 8, layered=got)) == \
         dump_container(Container("interleaved", raw, 8, layered=want))
+
+
+def assert_finalized(index, n):
+    """What finalize sets, node by node: sorted children, the leftmost
+    leaf's ref, and the leaf-order range against the subtree walk."""
+    lo, hi = index.leaf_lo, index.leaf_hi
+    assert sorted(index.leaf_pos[lo[ROOT]:hi[ROOT]]) == list(range(1, n + 1))
+    tail = 0
+    for nid, nd in enumerate(index.nodes):
+        assert list(nd.children) == sorted(nd.children), nid
+        first = nd
+        while first.children:
+            first = index.nodes[next(iter(first.children.values()))]
+        assert nd.leftmost_leaf_ref == first.ref, nid
+        assert occurrences(index, nid) == naive_occurrences(index, nid), nid
+        for child in nd.children.values():
+            assert lo[nid] <= lo[child] <= hi[child] <= hi[nid], (nid, child)
+        if not nd.children and index.data_pos_to_text_pos(nd.ref) > n:
+            assert lo[nid] == hi[nid], nid          # delimiter-tail leaf
+            tail += 1
+    assert tail == len(index.text) - n
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
+def test_reporting_range_matches_subtree_walk(raw):
+    conts = [build_container(raw, "tree"), build_container(raw[:TRIE_N], "trie")]
+    for cont in conts + [load_container(dump_container(c)) for c in conts]:
+        assert_finalized(cont.index, len(cont.raw))
+    if raw:
+        built = Container("interleaved", raw, 4,
+                          layered=build_layered_index(raw, 4))
+        for cont in (built, load_container(dump_container(built))):
+            for k in (1, 2, 4):
+                assert_finalized(cont.layered.layers[k].tree, len(raw))
 
 
 def test_unary_stack_builds_in_linear_time():
