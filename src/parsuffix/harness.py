@@ -171,6 +171,8 @@ def _tree_par2_law(pat, _, led, res):
         return "nav law violated: nav=%d cap=%d" % (led.nav_chars, nav_cap)
     if led.span > pat.m + 4:
         return "span law violated: span=%d m=%d" % (led.span, pat.m)
+    if led.probes > 2 * pat.m + 2:
+        return "probe law violated: probes=%d m=%d" % (led.probes, pat.m)
     return None
 
 

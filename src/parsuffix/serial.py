@@ -28,8 +28,9 @@ unchanged, so dictionary triples and query traces stay comparable.
 
 Loading raises ``ContainerError`` unless every index block spells one
 tree rooted at node 0 (child ids in range, each node listed once and by
-the parent it names, no empty edges, refs inside the data) and the input
-ends with the last block.
+the parent it names, no empty edges, refs inside the data) whose leaves
+report every text position exactly once, and the input ends with the
+last block.
 """
 
 from __future__ import annotations
@@ -208,6 +209,11 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str) -> SuffixIndex:
         raise ContainerError("%d nodes unreachable from the root"
                              % (count - len(order)))
     index.finalize()
+    n = text.base_len
+    pos = index.leaf_pos
+    if len(pos) != n or len(set(pos)) != n or (n and min(pos) < 1):
+        raise ContainerError("the leaves are not the text's %d suffixes, "
+                             "each once" % n)
     return index
 
 

@@ -19,19 +19,23 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .textmodel import Pattern, Text
 
 NodeId = int
 ROOT: NodeId = 0
+# the child map every leaf of a finalized index shares
+NO_CHILDREN = MappingProxyType({})
 
 
-@dataclass
+@dataclass(slots=True)          # no per-node attribute dict
 class Node:
     parent: Optional[NodeId]
     skip: int                    # incoming edge length in symbols (root: 0)
     cum: int                     # cumulative skip value root -> here
+    # a finalized leaf holds the shared read-only NO_CHILDREN instead
     children: dict[int, NodeId] = field(default_factory=dict)
     ref: Optional[int] = None    # for leaves: 1-based suffix start in data
     leftmost_leaf_ref: int = 0   # 1-based data position of one suffix below
@@ -122,7 +126,9 @@ class SuffixIndex:
         ``leaf_pos`` lists the text positions of the reported leaves (those
         with a suffix ref that starts in the text, not in the delimiter
         tail) in leaf order; ``leaf_pos[leaf_lo[v]:leaf_hi[v]]`` are the
-        ones below node ``v``."""
+        ones below node ``v``.  Leaves drop their empty child dicts for
+        :data:`NO_CHILDREN`, so the index is not built further after
+        this."""
         nodes = self.nodes
         base_len = self.text.base_len
         # a plain index's data positions are its text positions
@@ -148,6 +154,7 @@ class SuffixIndex:
                 stack.append(~nid)
                 stack.extend(reversed(children.values()))
                 continue
+            nd.children = NO_CHILDREN
             ref = nd.ref
             if ref is not None:
                 nd.leftmost_leaf_ref = ref

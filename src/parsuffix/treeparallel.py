@@ -11,12 +11,15 @@ verified hit is the query's node.
 The stored pair for the query's node splits it at the shallowest node
 covering half of its shortest string, and that split can sit anywhere in
 lane 1's range, so probing must cover every (lane-1 node, lane-2 state)
-the sweep passes: probes fire after every navigation step and every
-shorten, against lane 2's current covering node and its ancestors (a
-shorten can land past the stored right part, which is then an ancestor),
-plus a lookahead at lane 2's next node before lane 1 overtakes it (the
-balance condition otherwise skips exactly the stored pair when that next
-edge is long).  After the concatenation first covers the query, lane 1
+the sweep passes.  Probes fire after every navigation step and every
+shorten.  Each pairs lane 1's node with lane 2's current covering node or
+one of its ancestors, since a shorten can land past the stored right
+part.  Only a window of those ancestors can be stored: the dictionary's
+rule puts the right part's parent at a cum between 2P - A and A - 1,
+where A and P are the cums of lane 1's node and of its parent, so a sweep
+makes at most 2m + 2 probes.  A lookahead also probes lane 2's next node
+before lane 1 overtakes it (the balance condition otherwise skips exactly
+the stored pair when that next edge is long).  After the concatenation first covers the query, lane 1
 keeps sweeping to the end of its subquery so splits right of the meeting
 point are probed too.  Splits left of lane 2's anchor need no probe: their
 node starts within lane 1's reach, which is handled by reporting lane 1's
@@ -83,6 +86,7 @@ class _TwoLaneDriver:
         self.e2 = self.start2                # right end of lane 2's string in Q
         self.t2 = 0
         self.hits: set[NodeId] = set()
+        self.covered = False                 # some hit covers the whole query
         self.probed: set[tuple[NodeId, NodeId]] = set()
         self.aligned = False
 
@@ -200,6 +204,22 @@ class _TwoLaneDriver:
     # -- probing --------------------------------------------------------
 
     def _probe(self, a: NodeId, b: NodeId) -> None:
+        """Probe (a, b) unless it lies outside the window of stored pairs
+        (see :meth:`_probe_ancestry`)."""
+        nodes = self.tree.nodes
+        if a == ROOT:
+            return
+        pa = nodes[a].parent
+        if b == ROOT:
+            if pa != ROOT:
+                return
+        elif not 2 * nodes[pa].cum - nodes[a].cum <= \
+                nodes[nodes[b].parent].cum < nodes[a].cum:
+            return
+        self._lookup(a, b)
+
+    def _lookup(self, a: NodeId, b: NodeId) -> None:
+        """One dictionary probe of (a, b), charged once per pair."""
         if (a, b) in self.probed:
             return
         self.probed.add((a, b))
@@ -207,17 +227,45 @@ class _TwoLaneDriver:
         self.ledger.charge("probe", "probes", 1, timed=False)
         if w is not None:
             self.hits.add(w)
+            if self.tree.nodes[w].cum >= self.m:
+                self.covered = True
 
     def _probe_ancestry(self, a: NodeId, b: NodeId) -> None:
-        """Probe (a, b) and (a, every ancestor of b): after a shorten, the
-        stored right part may be any prefix of lane 2's covered string."""
-        chain = []
-        while b != ROOT:
-            chain.append(b)
-            b = self.tree.nodes[b].parent
-        chain.append(ROOT)
-        for node in reversed(chain):
-            self._probe(a, node)
+        """Probe a against b and those ancestors of b that can be stored as
+        a's right part: after a shorten, the stored right part may be any
+        prefix of lane 2's covered string, but only a window of them.
+
+        The window follows from :func:`build_tree_halving_dict`'s rule,
+        and a container stores that builder's entries, so loaded
+        dictionaries keep it too.  The pair (b1, b2) stored for a node x with
+        parent u != ROOT splits x's shortest string, of length
+        L = cum(u) + 1.  With A = cum(b1) and P = cum(parent(b1)), b1 is
+        the shallowest node covering half of it, so P < ceil(L/2) <= A,
+        that is 2P < L <= 2A; and parent(b2) is the suffix-link level
+        ancestor of u at depth A, of cum L - 1 - A.  Hence
+
+            2P - A <= cum(parent(b2)) <= A - 1.
+
+        A child x of the root is stored as (x, ROOT): the right part ROOT
+        needs P = 0, and b1 is never ROOT.  Cums fall up b's root path, so
+        the walk stops once a parent's cum drops below 2P - A.
+
+        So a sweep is linear in m.  Every right part probed against a
+        (here and in the lookaheads) is a distinct node on one root path,
+        lane 2's path from cum(a), with its parent's cum in the window and
+        below m - cum(a).  Lane 1's nodes a_1 .. a_k run down one path, so
+        the windows of a_1 .. a_(k-1) hold at most 2 cum(a_(k-1)) cums in
+        all and a_k's at most m - cum(a_k); with the one ROOT probe and
+        cum(a_(k-1)) < ceil(m/2) that is at most m + ceil(m/2) - 1 probes,
+        within the 2m + 2 the harness checks."""
+        if a == ROOT:
+            return
+        nodes = self.tree.nodes
+        low = 2 * nodes[nodes[a].parent].cum - nodes[a].cum
+        self._probe(a, ROOT)
+        while b != ROOT and nodes[nodes[b].parent].cum >= low:
+            self._probe(a, b)
+            b = nodes[b].parent
 
     def _probe_chain(self) -> None:
         if self.aligned and self.anchor == self.cum1:
@@ -280,12 +328,8 @@ class _TwoLaneDriver:
         """The concatenation covers the query, but the stored split may sit
         to the right of the meeting point: keep sweeping lane 1 to the end
         of its subquery, shortening and probing as usual."""
-        while not self._covering_hit() and \
-                self._lane1_peek_edge() is not None:
+        while not self.covered and self._lane1_peek_edge() is not None:
             self._lane1_advance()
-
-    def _covering_hit(self) -> bool:
-        return any(self.tree.nodes[h].cum >= self.m for h in self.hits)
 
     # -- result assembly -------------------------------------------------
 

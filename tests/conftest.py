@@ -51,6 +51,18 @@ def random_text(rng: random.Random, n: int, sigma: int) -> bytes:
     return bytes(rng.randrange(97, 97 + sigma) for _ in range(n))
 
 
+def fibonacci_text(n: int) -> bytes:
+    prev, cur = b"a", b"ab"
+    while len(cur) < n:
+        prev, cur = cur, cur + prev
+    return cur[:n]
+
+
+def periodic_text(rng: random.Random, n: int, period: int) -> bytes:
+    block = bytes(rng.sample(range(97, 97 + 26), period))
+    return (block * (n // period + 1))[:n]
+
+
 @pytest.fixture(scope="session")
 def abra_text():
     return make_text(ABRA, 1)

@@ -1,17 +1,22 @@
 """Reference builders that insert every suffix and walk every dictionary
-part from the root, and occurrence reporting by a walk over the subtree.
+part from the root, occurrence reporting by a walk over the subtree, and
+tree-par2's probe sweep over every ancestor of lane 2's node.
 Quadratic on repetitive texts; the library's McCreight builder,
-suffix-link based dictionaries and leaf-order reporting range must match
-them exactly (node ids included)."""
+suffix-link based dictionaries, leaf-order reporting range and windowed
+probe sweep must match them exactly (node ids and hits included)."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from parsuffix.ancestry import AncestryIndex
 from parsuffix.halving import PairDict
 from parsuffix.interleaved import LayerIndex, LayeredIndex
-from parsuffix.suffixindex import ROOT, NodeId, SuffixIndex
-from parsuffix.textmodel import Text, interleave, make_text
+from parsuffix.ledger import StepLedger
+from parsuffix.query import QueryResult
+from parsuffix.suffixindex import ROOT, NodeId, SuffixIndex, descend
+from parsuffix.textmodel import Pattern, Text, interleave, make_text
+from parsuffix.treeparallel import _TwoLaneDriver
 
 
 def naive_suffix_tree(text: Text) -> SuffixIndex:
@@ -178,3 +183,32 @@ def naive_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
         d.add(walk_cover(upper.tree, s[0::2]), walk_cover(upper.tree, s[1::2]),
               nid)
     return d
+
+
+# -- tree-par2 probe sweep -------------------------------------------------
+
+
+class FullSweepDriver(_TwoLaneDriver):
+    """tree-par2 probing every pair the sweep passes: lane 1's node against
+    lane 2's node and every ancestor of it, lookaheads included, with no
+    window.  Θ(m²) probes on a unary text."""
+
+    def _probe(self, a: NodeId, b: NodeId) -> None:
+        self._lookup(a, b)
+
+    def _probe_ancestry(self, a: NodeId, b: NodeId) -> None:
+        while b != ROOT:
+            self._lookup(a, b)
+            b = self.tree.nodes[b].parent
+        self._lookup(a, ROOT)
+
+
+def run_tree2_driver(driver: type, tree: SuffixIndex, anc: AncestryIndex,
+                     dct: PairDict, pat: Pattern
+                     ) -> tuple[_TwoLaneDriver, QueryResult, StepLedger]:
+    """One tree-par2 query on ``driver``, as ``par_query_tree2`` runs it;
+    the driver is returned for its hits."""
+    led = StepLedger()
+    drv = driver(tree, anc, dct, pat, led,
+                 descend(tree, pat.chars[:(pat.m + 1) // 2]))
+    return drv, drv.run(), led

@@ -4,7 +4,8 @@ criterion.
 Criteria:
   1. oracle equivalence over >= 1000 randomized cases, zero mismatches
   2. trie-par accounting: nav work = m, probes = p - 1, span <= ceil(m/p) + lg p
-  3. tree-par2 bounds: nav <= ceil(m/2) + ceil(3m/4) + 2, span <= m + 4
+  3. tree-par2 bounds: nav <= ceil(m/2) + ceil(3m/4) + 2, span <= m + 4,
+     probes <= 2m + 2
   4. interleaved bounds: per-layer probes <= 2(|pi1| + |pi2|), span <= 4(m/j)lg j
   5. structural suites (trie size, compression, layer height/leaves, parity,
      dictionary completeness)
@@ -96,11 +97,12 @@ def test_criterion_3_tree_par2_bounds(corpus_reports):
                 continue
             checked += 1
             nav_cap = -(-m // 2) + -(-3 * m // 4) + 2
-            if a.ledger.nav_chars > nav_cap or a.span > m + 4:
+            if a.ledger.nav_chars > nav_cap or a.span > m + 4 or \
+                    a.ledger.probes > 2 * m + 2:
                 violations += 1
     emit(checked > 0 and violations == 0,
          "criterion 3: tree-par2 bounds — %d runs, %d violations "
-         "(nav <= ceil(m/2)+ceil(3m/4)+2, span <= m+4)" %
+         "(nav <= ceil(m/2)+ceil(3m/4)+2, span <= m+4, probes <= 2m+2)" %
          (checked, violations))
 
 

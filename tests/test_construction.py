@@ -12,27 +12,15 @@ from parsuffix import (build_ancestry, build_container, build_layered_index,
                        dump_container, load_container, make_text, occurrences)
 from parsuffix.ancestry import suffix_links
 from parsuffix.serial import Container
-from parsuffix.suffixindex import ROOT
+from parsuffix.suffixindex import NO_CHILDREN, ROOT
 
-from conftest import random_text
+from conftest import fibonacci_text, periodic_text, random_text
 from naive_oracle import (naive_layered_index, naive_occurrences,
                           naive_suffix_links, naive_suffix_tree,
                           naive_trie_dict, naive_tree_dict)
 
 N = 300
 TRIE_N = 100          # the trie oracle is cubic in the text length
-
-
-def fibonacci_text(n):
-    prev, cur = b"a", b"ab"
-    while len(cur) < n:
-        prev, cur = cur, cur + prev
-    return cur[:n]
-
-
-def periodic_text(rng, n, period):
-    block = bytes(rng.sample(range(97, 97 + 26), period))
-    return (block * (n // period + 1))[:n]
 
 
 def _texts():
@@ -94,13 +82,15 @@ def test_layers_match_oracle(raw):
 
 
 def assert_finalized(index, n):
-    """What finalize sets, node by node: sorted children, the leftmost
-    leaf's ref, and the leaf-order range against the subtree walk."""
+    """What finalize sets, node by node: sorted children (the shared
+    empty map on leaves), the leftmost leaf's ref, and the leaf-order
+    range against the subtree walk."""
     lo, hi = index.leaf_lo, index.leaf_hi
     assert sorted(index.leaf_pos[lo[ROOT]:hi[ROOT]]) == list(range(1, n + 1))
     tail = 0
     for nid, nd in enumerate(index.nodes):
         assert list(nd.children) == sorted(nd.children), nid
+        assert nd.children or nd.children is NO_CHILDREN, nid
         first = nd
         while first.children:
             first = index.nodes[next(iter(first.children.values()))]

@@ -144,3 +144,28 @@ def test_trailing_bytes_rejected():
         load_container(blob)
         with pytest.raises(ContainerError):
             load_container(blob + b"\0")
+
+
+def test_tree_missing_a_suffix_rejected():
+    """ABRACADABRA's tree without the leaf of suffix 1, ids renumbered:
+    every structural check passes, and a loader that took it answered
+    ABRA with (8,) where the text has (1, 8)."""
+    cont = build_container(ABRA, "tree")
+    nodes = cont.index.nodes
+    gone = next(nid for nid, nd in enumerate(nodes)
+                if not nd.children and nd.ref == 1)
+
+    def renum(nid):
+        return nid - (nid > gone)
+
+    for nd in nodes:
+        nd.children = {sym: renum(c) for sym, c in nd.children.items()
+                       if c != gone}
+        if nd.parent is not None:
+            nd.parent = renum(nd.parent)
+    del nodes[gone]
+    cont.dct.entries = {(renum(a), renum(b)): renum(w)
+                        for (a, b), w in cont.dct.entries.items()
+                        if gone not in (a, b, w)}
+    with pytest.raises(ContainerError, match="suffixes"):
+        load_container(dump_container(cont))

@@ -8,9 +8,12 @@ from parsuffix import (StepLedger, build_ancestry, build_suffix_tree,
                        build_tree_halving_dict, make_text, par_query_tree2,
                        par_query_tree2_threaded)
 from parsuffix.textmodel import Pattern
+from parsuffix.treeparallel import _TwoLaneDriver
 from parsuffix.trieparallel import ParameterError
 
-from conftest import naive_positions, random_text
+from conftest import (fibonacci_text, naive_positions, periodic_text,
+                      random_text)
+from naive_oracle import FullSweepDriver, run_tree2_driver
 
 
 def run(raw, q, ledger=None):
@@ -105,3 +108,55 @@ def test_threaded_agreement():
             pat = Pattern.from_bytes(raw[i:i + m])
             assert par_query_tree2(tree, anc, dct, pat).positions == \
                 par_query_tree2_threaded(tree, anc, dct, pat).positions
+
+
+def _window_texts(rng):
+    for n in (60, 250, 700):
+        yield b"a" * n
+        yield fibonacci_text(n)
+        yield periodic_text(rng, n, 7)
+        for sigma in (2, 4, 26):
+            yield random_text(rng, n, sigma)
+
+
+def test_windowed_sweep_matches_full_sweep():
+    """Probing only the window of stored right parts finds the same hits
+    as probing every ancestor, so the sweep, its answers and its other
+    counters are unchanged; only probes fall."""
+    rng = random.Random(606)
+    for raw in _window_texts(rng):
+        tree = build_suffix_tree(make_text(raw, 1))
+        anc = build_ancestry(tree)
+        dct = build_tree_halving_dict(tree)
+        for _ in range(12):
+            m = rng.randrange(2, len(raw) + 1)
+            i = rng.randrange(0, len(raw) - m + 1)
+            q = bytearray(raw[i:i + m])
+            if rng.random() < 0.3:
+                q[rng.randrange(m)] ^= 1 << rng.randrange(2)
+            pat = Pattern.from_bytes(bytes(q))
+            win, res, led = run_tree2_driver(_TwoLaneDriver, tree, anc, dct,
+                                             pat)
+            full, full_res, full_led = run_tree2_driver(FullSweepDriver, tree,
+                                                        anc, dct, pat)
+            assert win.hits == full.hits, (raw, q)
+            assert res == full_res, (raw, q)
+            assert res.positions == naive_positions(raw, bytes(q)), (raw, q)
+            assert (led.span, led.nav_chars, led.shortens) == \
+                (full_led.span, full_led.nav_chars, full_led.shortens), (raw, q)
+            assert led.probes <= min(full_led.probes, 2 * m + 2), (raw, q)
+
+
+def test_unary_probes_linear():
+    """The full sweep costs Θ(m²) probes on a unary text (395 010 at
+    m=2048); the window keeps them within 2m + 2."""
+    raw = b"a" * 4000
+    tree = build_suffix_tree(make_text(raw, 1))
+    anc = build_ancestry(tree)
+    dct = build_tree_halving_dict(tree)
+    for m in (256, 1024, 2048):
+        led = StepLedger()
+        res = par_query_tree2(tree, anc, dct, Pattern.from_bytes(b"a" * m),
+                              led)
+        assert res.positions == tuple(range(1, 4000 - m + 2))
+        assert led.probes <= 2 * m + 2, (m, led.probes)
