@@ -4,8 +4,8 @@ work/span step accounting."""
 from .ancestry import AncestryIndex, build_ancestry, level_ancestor_sl, shorten
 from .halving import (PairDict, PairDictError, build_tree_halving_dict,
                       build_trie_halving_dict, probe)
-from .harness import (ALGORITHMS, CorpusCase, build_bundle, generate_corpus,
-                      oracle_scan, run_case, run_corpus)
+from .harness import (ALGORITHMS, CorpusCase, generate_corpus, oracle_scan,
+                      run_case, run_corpus)
 from .interleaved import (LayeredIndex, build_layer, build_layer_dict,
                           build_layered_index, deinterleave_paths,
                           par_query_interleaved,

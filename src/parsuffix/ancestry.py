@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .suffixindex import ROOT, NodeId, SuffixIndex
+from .suffixindex import ROOT, Node, NodeId, SuffixIndex
 
 
 class AncestryError(Exception):
@@ -22,13 +22,15 @@ class AncestryError(Exception):
 
 @dataclass
 class AncestryIndex:
-    tree: SuffixIndex
+    # the tree's node list, not the tree: the tree holds its ancestry,
+    # and no cycle keeps a dropped tree alive until a full collection
+    nodes: list[Node]
     suffix_link: list[NodeId]        # per node; root links to itself
     jump: list[list[NodeId]]         # jump[j][node] = 2^j-th suffix-link ancestor
 
     def depth(self, nid: NodeId) -> int:
         """Depth in the suffix-links tree (= cumulative skip value)."""
-        return self.tree.nodes[nid].cum
+        return self.nodes[nid].cum
 
 
 def suffix_links(tree: SuffixIndex) -> list[NodeId]:
@@ -70,15 +72,21 @@ def suffix_links(tree: SuffixIndex) -> list[NodeId]:
 
 def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
     """Suffix links for every node (:func:`suffix_links`) plus binary
-    lifting tables (O(n log n) for a tree of n nodes)."""
-    links = suffix_links(tree)
-    maxd = max((nd.cum for nd in tree.nodes), default=0)
-    levels = max(1, maxd.bit_length())
-    jump = [links]
-    for j in range(1, levels):
-        prev = jump[j - 1]
-        jump.append([prev[prev[nid]] for nid in range(len(tree.nodes))])
-    return AncestryIndex(tree, links, jump)
+    lifting tables (O(n log n) for a tree of n nodes).
+
+    Built once per tree: the result is kept as ``tree.ancestry`` and
+    returned by later calls, so the tree halving dictionary and tree-par2
+    share it."""
+    if tree.ancestry is None:
+        links = suffix_links(tree)
+        maxd = max((nd.cum for nd in tree.nodes), default=0)
+        levels = max(1, maxd.bit_length())
+        jump = [links]
+        for j in range(1, levels):
+            prev = jump[j - 1]
+            jump.append([prev[prev[nid]] for nid in range(len(tree.nodes))])
+        tree.ancestry = AncestryIndex(tree.nodes, links, jump)
+    return tree.ancestry
 
 
 def level_ancestor_sl(anc: AncestryIndex, nid: NodeId, d: int) -> NodeId:
@@ -100,7 +108,7 @@ def shorten(anc: AncestryIndex, nid: NodeId, d: int, needed_len: int) -> NodeId:
     if needed_len <= 0:
         return ROOT
     cur = level_ancestor_sl(anc, nid, d)
-    nodes = anc.tree.nodes
+    nodes = anc.nodes
     while nodes[cur].parent is not None and nodes[nodes[cur].parent].cum >= needed_len:
         cur = nodes[cur].parent
     if nodes[cur].cum < needed_len:

@@ -13,7 +13,7 @@ import sys
 from typing import Optional
 
 from .ancestry import AncestryError, build_ancestry
-from .harness import (ALGORITHMS, Algorithm, EquivalenceError, IndexBundle,
+from .harness import (ALGORITHMS, Algorithm, EquivalenceError,
                       generate_corpus, run_case)
 from .lanes import Mapper, seq_map, thread_map
 from .ledger import StepLedger
@@ -67,29 +67,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bundle(cont: Container, algos: list[Algorithm]) -> IndexBundle:
-    """The container's indexes, plus the tree's ancestry when tree-par2
-    runs on it."""
-    b = IndexBundle(cont.raw, interleaved=cont.layered)
-    if cont.kind == "trie":
-        b.trie, b.trie_dict = cont.index, cont.dct
-    elif cont.kind == "tree":
-        b.tree, b.tree_dict = cont.index, cont.dct
-        if ALGORITHMS["tree-par2"] in algos:
-            b.anc = build_ancestry(cont.index)
-    return b
-
-
-def _run_query(algo: Algorithm, b: IndexBundle, pat: Pattern, p: int,
+def _run_query(algo: Algorithm, cont: Container, pat: Pattern, p: int,
                mapper: Mapper, ledger: StepLedger) -> QueryResult:
     """Runs one query, clamping an unusable lane count to the largest
     usable power of two; an algorithm without a lane count that cannot
     take the pattern answers it sequentially."""
     param = p if algo.lane else None
-    why = algo.unusable(pat, param, b)
+    why = algo.unusable(pat, param, cont)
     if why and algo.lane:
         param = 1 << (max(p, 1).bit_length() - 1)
-        while param > 1 and algo.unusable(pat, param, b):
+        while param > 1 and algo.unusable(pat, param, cont):
             param //= 2
         _warn("%s=%d unusable for m=%d (%s); clamped to %d" %
               (algo.lane, p, pat.m, why, param))
@@ -97,7 +84,7 @@ def _run_query(algo: Algorithm, b: IndexBundle, pat: Pattern, p: int,
         _warn("%s unusable for m=%d (%s); answering sequentially" %
               (algo.name, pat.m, why))
         algo = ALGORITHMS["seq"]
-    return algo.run(b, pat, param, ledger, mapper)
+    return algo.run(cont, pat, param, ledger, mapper)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -106,11 +93,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     if cont.kind not in algo.kinds:
         raise CliError("%s needs a %s index" % (algo.name,
                                                 " or ".join(algo.kinds)))
-    b = _bundle(cont, [algo])
+    if algo.name == "tree-par2":
+        build_ancestry(cont.index)     # fails here on a non-suffix tree
     mapper = thread_map if args.threads else seq_map
     for raw_pat in _read_patterns(args):
         led = StepLedger()
-        res = _run_query(algo, b, Pattern.from_bytes(raw_pat), args.p,
+        res = _run_query(algo, cont, Pattern.from_bytes(raw_pat), args.p,
                          mapper, led)
         if args.count:
             line = str(len(res.positions))
@@ -126,18 +114,19 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     cont = load_file(args.index)
     algos = [a for a in ALGORITHMS.values() if cont.kind in a.kinds]
-    b = _bundle(cont, algos)
+    if ALGORITHMS["tree-par2"] in algos:
+        build_ancestry(cont.index)     # fails here on a non-suffix tree
     print("m\talgorithm\twork\tspan\tprobes")
     for raw_pat in _read_patterns(args):
         pat = Pattern.from_bytes(raw_pat)
         for algo in algos:
             # no lane count to clamp: its row would hold seq's counts
-            why = None if algo.lane else algo.unusable(pat, None, b)
+            why = None if algo.lane else algo.unusable(pat, None, cont)
             if why:
                 _warn("%s skipped for m=%d (%s)" % (algo.name, pat.m, why))
                 continue
             led = StepLedger()
-            _run_query(algo, b, pat, args.p, seq_map, led)
+            _run_query(algo, cont, pat, args.p, seq_map, led)
             print("%d\t%s\t%d\t%d\t%d" % (pat.m, algo.name, led.work,
                                           led.span, led.probes))
     return 0

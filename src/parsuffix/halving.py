@@ -90,8 +90,8 @@ def build_trie_halving_dict(trie: SuffixIndex) -> PairDict:
 
 
 def build_tree_halving_dict(tree: SuffixIndex) -> PairDict:
-    """One entry per non-root node: the ancestry, then O(log n) per
-    internal node.
+    """One entry per non-root node: the tree's shared ancestry
+    (:func:`build_ancestry`), then O(log n) per internal node.
 
     A child x of the root splits as (x, ROOT).  A child x of an internal
     node u has u's string plus x's edge character c as its shortest

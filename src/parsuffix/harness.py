@@ -15,21 +15,23 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .ancestry import AncestryIndex, build_ancestry
-from .halving import PairDict, build_tree_halving_dict, build_trie_halving_dict
-from .interleaved import (LayeredIndex, build_layered_index,
-                          par_query_interleaved)
+from .ancestry import build_ancestry
+from .interleaved import par_query_interleaved
 from .lanes import Mapper, is_pow2, seq_map, thread_map
 from .ledger import StepLedger
 from .query import QueryResult, seq_query
-from .suffixindex import SuffixIndex, build_suffix_tree, build_suffix_trie
-from .textmodel import Pattern, make_text
+from .serial import Container, build_container
+from .textmodel import Pattern
 from .treeparallel import par_query_tree2
 from .trieparallel import par_query_trie
 
 # A suffix trie has a node per distinct substring; cap the text size for
 # trie-backed algorithms so corpus runs stay near-linear overall.
 TRIE_N_CAP = 256
+# The lane counts run_case tries: trie-par's p, interleaved's j (its
+# index is built with p = max(J_VALUES) layers).
+P_VALUES = (2, 4, 8, 16)
+J_VALUES = (2, 4, 8)
 
 
 def oracle_scan(raw: bytes | Sequence[int], pat: Pattern) -> tuple[int, ...]:
@@ -103,59 +105,32 @@ class EquivalenceError(AssertionError):
     pass
 
 
-@dataclass
-class IndexBundle:
-    """The indexes queries run on: all a case needs, built once and shared
-    across algorithms, or those of one loaded container."""
-
-    raw: bytes
-    tree: Optional[SuffixIndex] = None
-    anc: Optional[AncestryIndex] = None
-    tree_dict: Optional[PairDict] = None
-    trie: Optional[SuffixIndex] = None
-    trie_dict: Optional[PairDict] = None
-    interleaved: Optional[LayeredIndex] = None
-
-
-def build_bundle(raw: bytes, want_trie: bool = True,
-                 layered_p: int = 8) -> IndexBundle:
-    text = make_text(raw, 1)
-    tree = build_suffix_tree(text)
-    bundle = IndexBundle(raw=raw, tree=tree, anc=build_ancestry(tree),
-                         tree_dict=build_tree_halving_dict(tree))
-    if want_trie and len(raw) <= TRIE_N_CAP:
-        bundle.trie = build_suffix_trie(text)
-        bundle.trie_dict = build_trie_halving_dict(bundle.trie)
-    if layered_p >= 2:
-        bundle.interleaved = build_layered_index(raw, layered_p)
-    return bundle
-
-
 # -- the algorithm registry ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Algorithm:
     """One query algorithm: the container kinds it runs on (the first is
-    the one it uses when a bundle holds several), its lane-count rule, how
-    to run it and the ledger laws every run must keep."""
+    the one :func:`run_case` builds for it), its lane-count rule, how to
+    run it on a container of its kind and the ledger laws every run must
+    keep."""
 
     name: str
     kinds: tuple[str, ...]
     lane: str          # the lane count a caller picks ("p", "j"); "" if none
     # why (pattern, lane count) cannot run, beyond a power of two; or None
-    rule: Callable[[Pattern, Optional[int], IndexBundle], Optional[str]]
-    run: Callable[[IndexBundle, Pattern, Optional[int], StepLedger, Mapper],
+    rule: Callable[[Pattern, Optional[int], Container], Optional[str]]
+    run: Callable[[Container, Pattern, Optional[int], StepLedger, Mapper],
                   QueryResult]
     # the law a finished run broke, or None
     law: Callable[[Pattern, Optional[int], StepLedger, QueryResult],
                   Optional[str]]
 
     def unusable(self, pat: Pattern, param: Optional[int],
-                 b: IndexBundle) -> Optional[str]:
+                 c: Container) -> Optional[str]:
         if self.lane and not is_pow2(param):
             return "%s not a power of two" % self.lane
-        return self.rule(pat, param, b)
+        return self.rule(pat, param, c)
 
 
 def _trie_par_law(pat, p, led, res):
@@ -187,23 +162,22 @@ def _interleaved_law(pat, j, led, res):
 
 ALGORITHMS: dict[str, Algorithm] = {a.name: a for a in (
     Algorithm("seq", ("tree", "trie"), "", lambda *_: None,
-              lambda b, pat, _, led, mapper: seq_query(
-                  b.tree if b.tree is not None else b.trie, pat, led),
+              lambda c, pat, _, led, mapper: seq_query(c.index, pat, led),
               lambda *_: None),
     Algorithm("trie-par", ("trie",), "p",
-              lambda pat, p, b: "p >= 2m" if p >= 2 * pat.m else None,
-              lambda b, pat, p, led, mapper: par_query_trie(
-                  b.trie, b.trie_dict, pat, p, led, mapper),
+              lambda pat, p, c: "p >= 2m" if p >= 2 * pat.m else None,
+              lambda c, pat, p, led, mapper: par_query_trie(
+                  c.index, c.dct, pat, p, led, mapper),
               _trie_par_law),
     Algorithm("tree-par2", ("tree",), "",
-              lambda pat, _, b: "m < 2" if pat.m < 2 else None,
-              lambda b, pat, _, led, mapper: par_query_tree2(
-                  b.tree, b.anc, b.tree_dict, pat, led, mapper),
+              lambda pat, _, c: "m < 2" if pat.m < 2 else None,
+              lambda c, pat, _, led, mapper: par_query_tree2(
+                  c.index, build_ancestry(c.index), c.dct, pat, led, mapper),
               _tree_par2_law),
     Algorithm("interleaved", ("interleaved",), "j",
-              lambda pat, j, b: "j > p" if j > b.interleaved.p else None,
-              lambda b, pat, j, led, mapper: par_query_interleaved(
-                  b.interleaved, pat, j, led, mapper),
+              lambda pat, j, c: "j > p" if j > c.p else None,
+              lambda c, pat, j, led, mapper: par_query_interleaved(
+                  c.layered, pat, j, led, mapper),
               _interleaved_law),
 )}
 
@@ -224,48 +198,45 @@ def _check(report: CaseReport, name: str, positions: tuple[int, ...]) -> None:
 
 
 def run_case(case: CorpusCase, algorithms: Iterable[str] = ALGORITHMS,
-             p_values: Sequence[int] = (2, 4, 8, 16),
-             j_values: Sequence[int] = (2, 4, 8),
-             bundle: Optional[IndexBundle] = None,
-             threaded: bool = False,
-             check_laws: bool = True) -> CaseReport:
-    """Run the selected algorithms, assert oracle equality, and return
-    per-run (work, span, result).  Lane counts an algorithm cannot use
-    (e.g. p >= 2m) and missing indexes are recorded in ``skipped``.  With
-    ``threaded`` each run is repeated on the shared thread pool, which must
-    give the same positions and the same ledger counts."""
+             threaded: bool = False) -> CaseReport:
+    """Run the selected algorithms, assert oracle equality and the ledger
+    laws, and return per-run (work, span, result).  Each algorithm runs on
+    a container of its first kind, built once per case; lane counts an
+    algorithm cannot use (e.g. p >= 2m) and the trie above
+    :data:`TRIE_N_CAP` are recorded in ``skipped``.  With ``threaded`` each
+    run is repeated on the shared thread pool, which must give the same
+    positions and the same ledger counts."""
     algorithms = set(algorithms)
     unknown = algorithms - set(ALGORITHMS)
     if unknown:
         raise ValueError("unknown algorithms: %s" % sorted(unknown))
     raw, pat = case.materialize()
     report = CaseReport(case=case, expected=oracle_scan(raw, pat))
-    if bundle is None:
-        kinds = {ALGORITHMS[a].kinds[0] for a in algorithms}
-        bundle = build_bundle(raw, want_trie="trie" in kinds,
-                              layered_p=max(j_values, default=0)
-                              if "interleaved" in kinds else 0)
-    lane_values = {"p": p_values, "j": j_values, "": (None,)}
+    conts = {kind: build_container(raw, kind, max(J_VALUES))
+             for kind in {ALGORITHMS[a].kinds[0] for a in algorithms}
+             if kind != "trie" or len(raw) <= TRIE_N_CAP}
+    lane_values = {"p": P_VALUES, "j": J_VALUES, "": (None,)}
 
     for algo in ALGORITHMS.values():
         if algo.name not in algorithms:
             continue
-        if getattr(bundle, algo.kinds[0]) is None:
+        cont = conts.get(algo.kinds[0])
+        if cont is None:
             report.skipped.append("%s (no %s index)" % (algo.name,
                                                         algo.kinds[0]))
             continue
         for param in lane_values[algo.lane]:
             name = "%s %s=%d" % (algo.name, algo.lane, param) if algo.lane \
                 else algo.name
-            why = algo.unusable(pat, param, bundle)
+            why = algo.unusable(pat, param, cont)
             if why:
                 report.skipped.append("%s (%s)" % (name, why))
                 continue
             led = StepLedger()
-            res = algo.run(bundle, pat, param, led, seq_map)
+            res = algo.run(cont, pat, param, led, seq_map)
             if threaded:
                 thr_led = StepLedger()
-                thr = algo.run(bundle, pat, param, thr_led, thread_map)
+                thr = algo.run(cont, pat, param, thr_led, thread_map)
                 _check(report, name + " threaded", thr.positions)
                 if _counts(thr_led) != _counts(led):
                     raise EquivalenceError(
@@ -273,7 +244,7 @@ def run_case(case: CorpusCase, algorithms: Iterable[str] = ALGORITHMS,
                         "(work, span, counters; seed=%d)" %
                         (name, _counts(thr_led), _counts(led), case.seed))
             _check(report, name, res.positions)
-            broken = algo.law(pat, param, led, res) if check_laws else None
+            broken = algo.law(pat, param, led, res)
             if broken:
                 raise EquivalenceError("%s %s (seed=%d)" %
                                        (name, broken, case.seed))
@@ -282,16 +253,9 @@ def run_case(case: CorpusCase, algorithms: Iterable[str] = ALGORITHMS,
     return report
 
 
-def run_corpus(trials: int, seed: int, n_lo: int = 8, n_hi: int = 2000,
-               sigmas: Sequence[int] = (1, 2, 4, 26),
-               algorithms: Iterable[str] = ALGORITHMS,
-               threaded: bool = False,
-               progress=None) -> list[CaseReport]:
+def run_corpus(trials: int, seed: int,
+               threaded: bool = False) -> list[CaseReport]:
     """Generate and run a whole corpus; returns all case reports (raises
     on the first mismatch)."""
-    reports = []
-    for case in generate_corpus(trials, seed, n_lo, n_hi, sigmas):
-        reports.append(run_case(case, algorithms, threaded=threaded))
-        if progress is not None:
-            progress(reports[-1])
-    return reports
+    return [run_case(case, threaded=threaded)
+            for case in generate_corpus(trials, seed)]

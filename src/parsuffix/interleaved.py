@@ -21,10 +21,9 @@ from .halving import PairDict, PairDictError, probe
 from .lanes import Mapper, is_pow2, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
-from .suffixindex import (ROOT, NodeId, SuffixIndex,
-                          build_generalized_suffix_tree, descend, occurrences,
-                          verify_against_text)
-from .textmodel import Pattern, interleave, make_text
+from .suffixindex import (ROOT, NodeId, SuffixIndex, build_suffix_tree,
+                          descend, occurrences, verify_against_text)
+from .textmodel import Pattern, make_text
 from .trieparallel import ParameterError
 
 NavPath = list[tuple[NodeId, int]]          # (node, cumulative skip)
@@ -56,8 +55,7 @@ def build_layer(raw: bytes | Sequence[int], k: int) -> LayerIndex:
     text = make_text(raw, k)
     if text.base_len < 1:
         raise ValueError("text must be nonempty")
-    seqs = interleave(text.symbols, k)
-    return LayerIndex(k, build_generalized_suffix_tree(text, seqs, k))
+    return LayerIndex(k, build_suffix_tree(text))
 
 
 def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:

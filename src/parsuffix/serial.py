@@ -26,11 +26,12 @@ references and child ordering are recomputed on load, and suffix links /
 lifting tables are rebuilt on demand.  Node ids survive a round trip
 unchanged, so dictionary triples and query traces stay comparable.
 
-Loading raises ``ContainerError`` unless every index block spells one
-tree rooted at node 0 (child ids in range, each node listed once and by
-the parent it names, no empty edges, refs inside the data) whose leaves
-report every text position exactly once, and the input ends with the
-last block.
+Loading raises ``ContainerError`` unless every index block has the
+stride its position implies (1 for a trie or tree, k for layer k) and
+spells one tree rooted at node 0 (child ids in range, each node listed
+once and by the parent it names, no empty edges, refs inside the data)
+whose leaves report every text position exactly once, and the input ends
+with the last block.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Optional
 from .halving import PairDict
 from .interleaved import LayerIndex, LayeredIndex
 from .suffixindex import Node, SuffixIndex
-from .textmodel import Text, interleave, make_text
+from .textmodel import make_text
 
 MAGIC = b"PQST"
 VERSION = 1
@@ -64,7 +65,9 @@ class ContainerError(ValueError):
 
 @dataclass
 class Container:
-    """A built index plus everything its queries need."""
+    """A text's built indexes, as built or loaded: what every query
+    algorithm runs on.  A tree's suffix links are kept on the tree
+    (``index.ancestry``), not here."""
 
     kind: str                      # "trie" | "tree" | "interleaved"
     raw: bytes
@@ -157,27 +160,21 @@ class _Reader:
                                  % (len(self.data) - self.pos))
 
 
-def _layer_text_and_seqs(raw: bytes, stride: int) -> tuple[Text, list]:
-    text = make_text(raw, stride)
-    return text, interleave(text.symbols, stride)
-
-
-def _unpack_index(rd: _Reader, raw: bytes, kind: str) -> SuffixIndex:
-    stride, count = rd.take(_INDEX_HEAD)
+def _unpack_index(rd: _Reader, raw: bytes, kind: str,
+                  stride: int) -> SuffixIndex:
+    got, count = rd.take(_INDEX_HEAD)
+    if got != stride:
+        raise ContainerError("index block has stride %d where %d belongs"
+                             % (got, stride))
     if count < 1:
         raise ContainerError("index block has no root")
-    text, seqs = _layer_text_and_seqs(raw, stride)
-    data: list[int] = []
-    seq_starts: list[int] = []
-    for seq in seqs:
-        seq_starts.append(len(data) + 1)
-        data.extend(seq)
-    index = SuffixIndex(text, kind, data, seq_starts, stride)
+    index = SuffixIndex(make_text(raw, stride), kind)
     index.nodes.clear()
     nodes = index.nodes
+    data_len = len(index.data)
     for nid in range(count):
         parent, skip, ref, nchild = rd.take(_NODE)
-        if ref > len(data) or (skip == 0 and parent != _NO_PARENT):
+        if ref > data_len or (skip == 0 and parent != _NO_PARENT):
             raise ContainerError("node %d: empty edge or suffix ref outside "
                                  "the text" % nid)
         nd = Node(parent=None if parent == _NO_PARENT else parent,
@@ -209,7 +206,7 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str) -> SuffixIndex:
         raise ContainerError("%d nodes unreachable from the root"
                              % (count - len(order)))
     index.finalize()
-    n = text.base_len
+    n = index.text.base_len
     pos = index.leaf_pos
     if len(pos) != n or len(set(pos)) != n or (n and min(pos) < 1):
         raise ContainerError("the leaves are not the text's %d suffixes, "
@@ -244,7 +241,7 @@ def load_container(data: bytes) -> Container:
     raw = rd.take_bytes(rawlen)
 
     if kind in ("trie", "tree"):
-        index = _unpack_index(rd, raw, kind)
+        index = _unpack_index(rd, raw, kind, 1)
         dct = _unpack_dict(rd, index, index)
         rd.expect_end()
         return Container(kind, raw, p, index, dct)
@@ -252,7 +249,7 @@ def load_container(data: bytes) -> Container:
     layered = LayeredIndex(raw, p)
     k = 1
     while k <= p:
-        layered.layers[k] = LayerIndex(k, _unpack_index(rd, raw, "tree"))
+        layered.layers[k] = LayerIndex(k, _unpack_index(rd, raw, "tree", k))
         k *= 2
     k = 2
     while k <= p:

@@ -7,10 +7,11 @@ sequence via ``leftmost_leaf_ref``.  Navigation therefore compares only
 discriminator characters, and callers must verify skipped characters
 against the text before trusting a match (patricia semantics).
 
-Generalized trees over several symbol sequences (used by the interleaved
-layers) are supported by concatenating the sequences into one ``data``
-array and restricting suffixes to their own sequence.  Each sequence ends
-with a unique delimiter, so no suffix is a prefix of another.
+A text with k delimiters is indexed as its k interleaved subsequences
+(the interleaved layers; k = 1 is the plain text): they are concatenated
+into one ``data`` array and suffixes stay within their own subsequence.
+Each subsequence ends with a unique delimiter, so no suffix is a prefix
+of another.
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, chain
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .textmodel import Pattern, Text
+from .textmodel import Pattern, Text, interleave
+
+if TYPE_CHECKING:
+    from .ancestry import AncestryIndex
 
 NodeId = int
 ROOT: NodeId = 0
@@ -58,34 +63,34 @@ class NavOutcome:
 
 
 class SuffixIndex:
-    """Arena of nodes over an indexed symbol sequence.
+    """Arena of nodes over the text's interleaved subsequences.
 
-    ``data`` is the concatenation of the indexed sequences (just the text
-    symbols for plain indexes).  ``seq_starts`` holds the 1-based data
-    position where each sequence begins; ``stride`` is the interleaving
-    stride (1 for plain indexes), used to map leaf refs back to positions
-    in the original text.
+    ``stride`` is the text's delimiter count k.  ``data`` is the
+    concatenation of the text's k interleaved subsequences (just the text
+    symbols for k = 1), and ``seq_starts`` holds the 1-based data position
+    where each subsequence begins; leaf refs map back to text positions
+    through both.
     """
 
-    def __init__(self, text: Text, kind: str, data: Sequence[int],
-                 seq_starts: Sequence[int], stride: int) -> None:
+    def __init__(self, text: Text, kind: str) -> None:
         assert kind in ("trie", "tree")
         self.text = text
         self.kind = kind
-        self.data = tuple(data)
-        self.seq_starts = tuple(seq_starts)
-        self.stride = stride
+        self.stride = text.k
+        seqs = interleave(text.symbols, text.k)
+        self.data = tuple(chain.from_iterable(seqs))
+        self.seq_starts = tuple(accumulate((len(seq) for seq in seqs[:-1]),
+                                           initial=1))
         self.nodes: list[Node] = [Node(parent=None, skip=0, cum=0)]
         self.root: NodeId = ROOT
+        # suffix links, built once by ancestry.build_ancestry
+        self.ancestry: Optional[AncestryIndex] = None
         # the reporting range, built by finalize()
         self.leaf_pos = array("i")
         self.leaf_lo = array("i")
         self.leaf_hi = array("i")
 
     # -- raw access ---------------------------------------------------
-
-    def node(self, nid: NodeId) -> Node:
-        return self.nodes[nid]
 
     def at(self, pos: int) -> int:
         """Symbol at 1-based data position."""
@@ -132,8 +137,7 @@ class SuffixIndex:
         nodes = self.nodes
         base_len = self.text.base_len
         # a plain index's data positions are its text positions
-        to_text = None if len(self.seq_starts) == 1 and self.stride == 1 \
-            else self.data_pos_to_text_pos
+        to_text = None if self.stride == 1 else self.data_pos_to_text_pos
         lo = array("i", bytes(4 * len(nodes)))
         hi = array("i", lo)
         pos = array("i")
@@ -190,46 +194,31 @@ def build_suffix_trie(text: Text) -> SuffixIndex:
     nonempty substring, all skip values 1."""
     if len(text) < 1:
         raise ValueError("text must be nonempty")
-    idx = SuffixIndex(text, "trie", text.symbols, (1,), 1)
-    for s in range(1, len(text) + 1):
-        cur = idx.root
-        for pos in range(s, len(text) + 1):
-            c = idx.at(pos)
-            nxt = idx.nodes[cur].children.get(c)
-            if nxt is None:
-                nxt = idx.new_node(cur, 1, s)
-                idx.nodes[cur].children[c] = nxt
-            cur = nxt
-        if idx.nodes[cur].ref is None:
-            idx.nodes[cur].ref = s
+    idx = SuffixIndex(text, "trie")
+    for lo, hi in _suffix_ranges(idx):
+        for s in range(lo, hi + 1):
+            cur = idx.root
+            for pos in range(s, hi + 1):
+                c = idx.at(pos)
+                nxt = idx.nodes[cur].children.get(c)
+                if nxt is None:
+                    nxt = idx.new_node(cur, 1, s)
+                    idx.nodes[cur].children[c] = nxt
+                cur = nxt
+            if idx.nodes[cur].ref is None:
+                idx.nodes[cur].ref = s
     idx.finalize()
     return idx
 
 
 def build_suffix_tree(text: Text) -> SuffixIndex:
-    """Suffix tree by McCreight's algorithm (:func:`_insert_all_suffixes`);
-    O(n) node visits plus O(n) character comparisons."""
+    """Suffix tree over all suffixes of the text's k interleaved
+    subsequences (the plain suffix tree for k = 1), by McCreight's
+    algorithm (:func:`_insert_all_suffixes`); O(n) node visits plus O(n)
+    character comparisons."""
     if len(text) < 1:
         raise ValueError("text must be nonempty")
-    idx = SuffixIndex(text, "tree", text.symbols, (1,), 1)
-    _insert_all_suffixes(idx)
-    idx.finalize()
-    return idx
-
-
-def build_generalized_suffix_tree(text: Text, sequences: Sequence[Sequence[int]],
-                                  stride: int) -> SuffixIndex:
-    """Suffix tree over all suffixes of all given sequences, in time linear
-    in their total length.
-
-    Each sequence must end with a delimiter unique across sequences.
-    """
-    data: list[int] = []
-    seq_starts: list[int] = []
-    for seq in sequences:
-        seq_starts.append(len(data) + 1)
-        data.extend(seq)
-    idx = SuffixIndex(text, "tree", data, seq_starts, stride)
+    idx = SuffixIndex(text, "tree")
     _insert_all_suffixes(idx)
     idx.finalize()
     return idx

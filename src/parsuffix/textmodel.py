@@ -26,13 +26,6 @@ def is_delimiter(sym: int) -> bool:
     return sym > DELIMITER_BASE
 
 
-def symbol_str(sym: int) -> str:
-    """Printable form of a symbol, for debugging and test failure messages."""
-    if is_delimiter(sym):
-        return "<$%d>" % (sym - DELIMITER_BASE)
-    return chr(sym) if 32 <= sym < 127 else "\\x%02x" % sym
-
-
 @dataclass(frozen=True)
 class Text:
     """The indexed text: base bytes followed by ``k`` unique delimiters."""

@@ -15,34 +15,19 @@ from parsuffix.interleaved import LayerIndex, LayeredIndex
 from parsuffix.ledger import StepLedger
 from parsuffix.query import QueryResult
 from parsuffix.suffixindex import ROOT, NodeId, SuffixIndex, descend
-from parsuffix.textmodel import Pattern, Text, interleave, make_text
+from parsuffix.textmodel import Pattern, Text, make_text
 from parsuffix.treeparallel import _TwoLaneDriver
 
 
 def naive_suffix_tree(text: Text) -> SuffixIndex:
-    idx = SuffixIndex(text, "tree", text.symbols, (1,), 1)
-    _insert_all(idx)
-    idx.finalize()
-    return idx
-
-
-def naive_generalized_tree(text: Text, sequences: Sequence[Sequence[int]],
-                           stride: int) -> SuffixIndex:
-    data: list[int] = []
-    seq_starts: list[int] = []
-    for seq in sequences:
-        seq_starts.append(len(data) + 1)
-        data.extend(seq)
-    idx = SuffixIndex(text, "tree", data, seq_starts, stride)
+    idx = SuffixIndex(text, "tree")
     _insert_all(idx)
     idx.finalize()
     return idx
 
 
 def naive_layer(raw: bytes, k: int) -> LayerIndex:
-    text = make_text(raw, k)
-    return LayerIndex(k, naive_generalized_tree(
-        text, interleave(text.symbols, k), k))
+    return LayerIndex(k, naive_suffix_tree(make_text(raw, k)))
 
 
 def naive_layered_index(raw: bytes, p: int) -> LayeredIndex:

@@ -1,13 +1,17 @@
 """Suffix links, binary lifting, and the shorten operation."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from parsuffix import ROOT, build_ancestry, build_suffix_tree, make_text
+import parsuffix.ancestry as ancestry
+from parsuffix import (ROOT, build_ancestry, build_suffix_tree,
+                       build_tree_halving_dict, make_text)
 from parsuffix.ancestry import AncestryError, level_ancestor_sl, shorten
 
-from conftest import find_node, random_text
+from conftest import ABRA, find_node, random_text
 
 
 def naive_links(anc, nid, steps):
@@ -63,3 +67,32 @@ def test_shorten_golden(abra_tree, abra_anc):
 def test_shorten_overdeep_raises(abra_tree, abra_anc):
     with pytest.raises(AncestryError):
         level_ancestor_sl(abra_anc, find_node(abra_tree, "A"), 5)
+
+
+def test_ancestry_built_once_per_tree(monkeypatch):
+    """The tree halving dictionary shares the ancestry built before it,
+    so a stack computes suffix links once per tree."""
+    calls = []
+    links = ancestry.suffix_links
+    monkeypatch.setattr(ancestry, "suffix_links",
+                        lambda tree: calls.append(tree) or links(tree))
+    tree = build_suffix_tree(make_text(ABRA, 1))
+    anc = build_ancestry(tree)
+    assert build_ancestry(tree) is anc
+    build_tree_halving_dict(tree)
+    assert calls == [tree]
+
+
+def test_dropped_tree_is_freed_without_the_collector():
+    """The tree holds its ancestry, so the ancestry must not hold the
+    tree: with that cycle every dropped tree stayed alive until a full
+    collection, which raised peak memory in long runs."""
+    tree = build_suffix_tree(make_text(ABRA, 1))
+    build_ancestry(tree)
+    ref = weakref.ref(tree)
+    gc.disable()
+    try:
+        del tree
+        assert ref() is None
+    finally:
+        gc.enable()

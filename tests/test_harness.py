@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from parsuffix import (CorpusCase, generate_corpus, oracle_scan,
-                       par_query_tree2, run_case)
+from parsuffix import (CorpusCase, build_ancestry, generate_corpus,
+                       oracle_scan, par_query_tree2, run_case)
 from parsuffix.harness import ALGORITHMS, EquivalenceError
 from parsuffix.lanes import seq_map
 from parsuffix.textmodel import Pattern
@@ -73,8 +73,8 @@ def test_threaded_run_case_compares_ledgers(monkeypatch):
     # a threaded mode that charges a throwaway ledger must be caught
     throwaway = dataclasses.replace(
         ALGORITHMS["tree-par2"],
-        run=lambda b, pat, _, led, mapper: par_query_tree2(
-            b.tree, b.anc, b.tree_dict, pat,
+        run=lambda c, pat, _, led, mapper: par_query_tree2(
+            c.index, build_ancestry(c.index), c.dct, pat,
             led if mapper is seq_map else None, mapper))
     monkeypatch.setitem(ALGORITHMS, "tree-par2", throwaway)
     run_case(case, algorithms=("tree-par2",))

@@ -169,3 +169,23 @@ def test_tree_missing_a_suffix_rejected():
                         if gone not in (a, b, w)}
     with pytest.raises(ContainerError, match="suffixes"):
         load_container(dump_container(cont))
+
+
+@pytest.mark.parametrize("stride", [2, 0, 2_000_000])
+def test_tree_block_with_wrong_stride_rejected(stride):
+    """A tree block's stride must be 1.  A loader that trusted it loaded
+    stride 2 and answered ``ab`` on abab with (), raised a bare
+    ``ValueError`` for stride 0 and built 2 000 000 delimiters before any
+    check for the last one."""
+    cont = build_container(b"abab", "tree")
+    cont.index.stride = stride
+    with pytest.raises(ContainerError, match="stride"):
+        load_container(dump_container(cont))
+
+
+@pytest.mark.parametrize("k,stride", [(1, 2), (2, 4), (4, 2)])
+def test_layer_block_with_wrong_stride_rejected(k, stride):
+    cont = build_container(b"abab", "interleaved", 4)
+    cont.layered.layers[k].tree.stride = stride
+    with pytest.raises(ContainerError, match="stride"):
+        load_container(dump_container(cont))

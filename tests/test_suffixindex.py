@@ -138,6 +138,22 @@ def test_generalized_tree_leaf_positions():
             assert 1 <= pos <= len(make_text(ABRA, 4).symbols)
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_data_is_the_interleaved_subsequences(k):
+    """A text with k delimiters is laid out as its k interleaved
+    subsequences end to end, ``seq_starts`` marking where each begins."""
+    for raw in (ABRA, random_text(random.Random(k), 97, 4)):
+        text = make_text(raw, k)
+        tree = build_suffix_tree(text)
+        data, starts = [], []
+        for sub in interleave(text.symbols, k):
+            starts.append(len(data) + 1)
+            data.extend(sub)
+        assert tree.data == tuple(data)
+        assert tree.seq_starts == tuple(starts)
+        assert tree.stride == k
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.binary(min_size=1, max_size=40),
        st.binary(min_size=1, max_size=6))
