@@ -1,7 +1,7 @@
 """Suffix trie/tree indexes with parallel pattern-matching queries and
 work/span step accounting."""
 
-from .ancestry import AncestryIndex, build_ancestry, level_ancestor_sl, shorten
+from .ancestry import AncestryIndex, build_ancestry, level_ancestor_sl
 from .halving import (PairDict, PairDictError, build_tree_halving_dict,
                       build_trie_halving_dict, probe)
 from .harness import (ALGORITHMS, CorpusCase, generate_corpus, oracle_scan,

@@ -101,16 +101,3 @@ def level_ancestor_sl(anc: AncestryIndex, nid: NodeId, d: int) -> NodeId:
         j += 1
     return nid
 
-
-def shorten(anc: AncestryIndex, nid: NodeId, d: int, needed_len: int) -> NodeId:
-    """Node for the current node's string with ``d`` leading characters
-    removed, truncated to the shallowest node covering ``needed_len``."""
-    if needed_len <= 0:
-        return ROOT
-    cur = level_ancestor_sl(anc, nid, d)
-    nodes = anc.nodes
-    while nodes[cur].parent is not None and nodes[nodes[cur].parent].cum >= needed_len:
-        cur = nodes[cur].parent
-    if nodes[cur].cum < needed_len:
-        raise AncestryError("shorten result does not cover needed length")
-    return cur

@@ -56,7 +56,7 @@ class StepLedger:
         return t
 
     def now(self, lane: str) -> int:
-        return self.lane_time[lane]
+        return self.lane_time.get(lane, 0)     # reading adds no lane
 
     @property
     def work(self) -> int:

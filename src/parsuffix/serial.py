@@ -29,14 +29,22 @@ unchanged, so dictionary triples and query traces stay comparable.
 Loading raises ``ContainerError`` unless every index block has the
 stride its position implies (1 for a trie or tree, k for layer k) and
 spells one tree rooted at node 0 (child ids in range, each node listed
-once and by the parent it names, no empty edges, refs inside the data)
-whose leaves report every text position exactly once, and the input ends
-with the last block.
+once and by the parent it names, no empty edges, only one-symbol edges
+in a trie, refs inside the data) whose leaves report every text position
+exactly once, each leaf at its suffix's depth, every edge symbol is the
+data symbol at that depth below its child's leftmost leaf, every
+dictionary block maps each non-root node of its target exactly once from
+distinct pairs, and the input ends with the last block.
+
+Left unchecked: the raw text (a changed symbol can keep every edge symbol
+and depth consistent) and which pair a dictionary entry holds; catching
+either needs a checksum or a per-leaf label check.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -172,11 +180,14 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
     index.nodes.clear()
     nodes = index.nodes
     data_len = len(index.data)
+    max_skip = 1 if kind == "trie" else data_len
     for nid in range(count):
         parent, skip, ref, nchild = rd.take(_NODE)
-        if ref > data_len or (skip == 0 and parent != _NO_PARENT):
-            raise ContainerError("node %d: empty edge or suffix ref outside "
-                                 "the text" % nid)
+        if ref > data_len or (parent != _NO_PARENT and
+                              not 1 <= skip <= max_skip):
+            raise ContainerError("node %d: edge of %d symbols in a %s, or "
+                                 "suffix ref outside the text"
+                                 % (nid, skip, kind))
         nd = Node(parent=None if parent == _NO_PARENT else parent,
                   skip=skip, cum=0, ref=ref or None)
         if nchild:
@@ -206,6 +217,7 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
         raise ContainerError("%d nodes unreachable from the root"
                              % (count - len(order)))
     index.finalize()
+    _check_labels(index)
     n = index.text.base_len
     pos = index.leaf_pos
     if len(pos) != n or len(set(pos)) != n or (n and min(pos) < 1):
@@ -214,16 +226,56 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
     return index
 
 
+def _check_labels(index: SuffixIndex) -> None:
+    """Every leaf holds a suffix ref and sits at that suffix's depth
+    within its subsequence, and every edge's symbol is the data symbol its
+    child's leftmost leaf has there."""
+    nodes = index.nodes
+    data = index.data
+    starts = index.seq_starts
+    ends = starts[1:] + (len(data) + 1,)        # one past each subsequence
+    try:
+        for nd in nodes:
+            children = nd.children
+            if children:
+                cum = nd.cum - 1
+                for sym, child in children.items():
+                    if data[nodes[child].leftmost_leaf_ref + cum] != sym:
+                        raise ContainerError("node %d: edge symbol %d "
+                                             "disagrees with the text"
+                                             % (child, sym))
+                continue
+            ref = nd.ref
+            if ref is None or \
+                    nd.cum != ends[bisect_right(starts, ref) - 1] - ref:
+                raise ContainerError("a leaf is not at its suffix's depth")
+    except IndexError:
+        raise ContainerError("a leaf is not at its suffix's depth") from None
+
+
 def _unpack_dict(rd: _Reader, owner: SuffixIndex,
                  target: SuffixIndex) -> PairDict:
+    """A dictionary block: it must map every non-root node of ``target``
+    exactly once, each from its own pair."""
     (count,) = rd.take(_COUNT)
-    d = PairDict(owner=owner, target=target)
     nodes_o, nodes_t = len(owner.nodes), len(target.nodes)
-    for _ in range(count):
-        a, b, w = rd.take(_TRIPLE)
+    if count != nodes_t - 1:
+        raise ContainerError("dictionary has %d entries for %d non-root "
+                             "nodes" % (count, nodes_t - 1))
+    d = PairDict(owner=owner, target=target)
+    entries = d.entries
+    seen = bytearray(nodes_t)
+    seen[0] = 1                                 # the root maps from no pair
+    for a, b, w in _TRIPLE.iter_unpack(rd.take_bytes(_TRIPLE.size * count)):
         if a >= nodes_o or b >= nodes_o or w >= nodes_t:
             raise ContainerError("dictionary entry references missing node")
-        d.add(a, b, w)
+        if (a, b) in entries:
+            raise ContainerError("dictionary maps the pair (%d, %d) twice"
+                                 % (a, b))
+        if seen[w]:
+            raise ContainerError("dictionary maps node %d twice" % w)
+        seen[w] = 1
+        entries[a, b] = w
     return d
 
 

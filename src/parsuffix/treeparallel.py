@@ -1,29 +1,40 @@
 """Two-lane parallel query in the suffix tree.
 
 Lane 1 blindly navigates the left half of the query from the root.  Lane 2
-navigates a right portion starting roughly one quarter in; whenever lane 1
-overtakes lane 2's anchored start, lane 2's matched string is shortened
-from the left via suffix links so that the two matched strings always
-concatenate to a prefix of the query.  The pair of current nodes is probed
-in the halving dictionary as the split point sweeps right; the deepest
-verified hit is the query's node.
+navigates a right portion starting roughly one quarter in, node to node;
+whenever lane 1 overtakes lane 2's anchored start, lane 2's string is
+shortened from the left by a suffix-link level ancestor, so that the two
+matched strings always concatenate to a prefix of the query.  The pair of
+current nodes is probed in the halving dictionary as the split point
+sweeps right; the deepest verified hit is the query's node.
+
+The sweep keeps four invariants (:class:`_TwoLaneDriver` gives details):
+
+1. Lane 2 always stands on a node: an internal node's suffix link is an
+   internal node one symbol shorter.
+2. After alignment, lane 2 starts where lane 1 ends: every shorten or
+   restart re-anchors it there, and its moves keep the anchor.
+3. No probe has the root as its left part: probes start at alignment,
+   when lane 1 has passed Q[1 .. start2].
+4. Lane 1's clock is min(cum1, half) past its start: lane 1 charges only
+   its own edges, one after another.
 
 The stored pair for the query's node splits it at the shallowest node
 covering half of its shortest string, and that split can sit anywhere in
-lane 1's range, so probing must cover every (lane-1 node, lane-2 state)
+lane 1's range, so probing must cover every (lane-1 node, lane-2 node)
 the sweep passes.  Probes fire after every navigation step and every
-shorten.  Each pairs lane 1's node with lane 2's current covering node or
-one of its ancestors, since a shorten can land past the stored right
-part.  Only a window of those ancestors can be stored: the dictionary's
-rule puts the right part's parent at a cum between 2P - A and A - 1,
-where A and P are the cums of lane 1's node and of its parent, so a sweep
-makes at most 2m + 2 probes.  A lookahead also probes lane 2's next node
-before lane 1 overtakes it (the balance condition otherwise skips exactly
-the stored pair when that next edge is long).  After the concatenation first covers the query, lane 1
-keeps sweeping to the end of its subquery so splits right of the meeting
-point are probed too.  Splits left of lane 2's anchor need no probe: their
-node starts within lane 1's reach, which is handled by reporting lane 1's
-own node when it covers the whole query.
+shorten.  Each pairs lane 1's node with lane 2's node or one of its
+ancestors, since a shorten can land past the stored right part.  Only a
+window of those ancestors can be stored: the dictionary's rule puts the
+right part's parent at a cum between 2P - A and A - 1, where A and P are
+the cums of lane 1's node and of its parent, so a sweep makes at most
+2m + 2 probes.  A lookahead also probes lane 2's next node before lane 1
+overtakes it (the balance condition otherwise skips exactly the stored
+pair when that next edge is long).  After the concatenation first covers
+the query, lane 1 keeps sweeping to the end of its subquery so splits
+right of the meeting point are probed too.  Splits left of lane 2's
+anchor need no probe: their node starts within lane 1's reach, which is
+handled by reporting lane 1's own node when it covers the whole query.
 
 Dependency accounting: lane 1 is self-paced; every lane-2 step that reads
 a lane-1 value becomes eligible one time unit after that value was
@@ -36,7 +47,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .ancestry import AncestryIndex, shorten
+from .ancestry import AncestryIndex, level_ancestor_sl
 from .halving import PairDict, probe
 from .lanes import Mapper, seq_map, thread_map
 from .ledger import StepLedger
@@ -60,7 +71,21 @@ class _LeafExit(Exception):
 
 class _TwoLaneDriver:
     """Runs the probe sweep against lane 1's walk of Q[1 .. half]: the
-    path :func:`descend` returned and whether it covers the subquery."""
+    path :func:`descend` returned and whether it covers the subquery.
+
+    Lane 2's string is Q[anchor+1 .. anchor+cum2].  Four invariants hold:
+
+    1. Lane 2 stands on a node b2, so cum2 is cum(b2): a move takes it
+       onto a child, a restart to the root, and a shorten by d < cum(b2)
+       to the suffix-link level ancestor, an internal node exactly d
+       shorter (``ancestry.suffix_links`` rejects other trees).  Reaching
+       a leaf ends the sweep, so lane 2 never shortens from one.
+    2. Once aligned, anchor == cum1: alignment and every later shorten or
+       restart set it, and lane-2 moves keep it.
+    3. No probe has the root as its left part: probes start at alignment,
+       and pair a lane-1 node of cum >= anchor >= start2 >= 1.
+    4. Lane 1's clock is min(cum1, half) past its start: lane 1 charges
+       only its edges, one after another, cut at half."""
 
     def __init__(self, tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                  pat: Pattern, ledger: StepLedger,
@@ -72,19 +97,14 @@ class _TwoLaneDriver:
         self.ledger = ledger
         self.walk1, self.walk1_covers = lane1
         self.next1 = 1                       # walk1 index of lane 1's next node
-        self.edge_t1: list[int] = []         # done times of the peeked edges
-        m = pat.m
-        self.m = m
+        self.charged1 = 0                    # lane-1 edges charged so far
+        self.t1_start = ledger.now("lane1")
+        self.m = m = pat.m
         self.half = (m + 1) // 2
         self.start2 = (m + 3) // 4          # Q2 = Q[start2+1 .. m]
         self.t_init = self.start2 + 1
-        self.b1: NodeId = ROOT
-        self.cum1 = 0
-        self.t1 = 0
-        self.b2: NodeId = ROOT
-        self.cum2 = 0                        # matched length of lane 2
-        self.e2 = self.start2                # right end of lane 2's string in Q
-        self.t2 = 0
+        self.b1, self.cum1 = ROOT, 0
+        self.b2, self.anchor = ROOT, self.start2
         self.hits: set[NodeId] = set()
         self.covered = False                 # some hit covers the whole query
         self.probed: set[tuple[NodeId, NodeId]] = set()
@@ -93,9 +113,13 @@ class _TwoLaneDriver:
     # -- lane helpers ---------------------------------------------------
 
     @property
-    def anchor(self) -> int:
-        """Lane 2's string is Q[anchor+1 .. e2]."""
-        return self.e2 - self.cum2
+    def cum2(self) -> int:
+        return self.tree.nodes[self.b2].cum
+
+    @property
+    def ready2(self) -> int:
+        """When a lane-2 step reading lane 1's current node may run."""
+        return self.t1_start + min(self.cum1, self.half) + 1
 
     def _lane1_peek_edge(self) -> Optional[NodeId]:
         """Lane 1's next node, None once its subquery is covered.  An edge
@@ -106,16 +130,15 @@ class _TwoLaneDriver:
             if not self.walk1_covers:
                 raise _Absent
             return None
-        if len(self.edge_t1) < k:
+        if self.charged1 < k:
             chars = min(self.walk1[k][1], self.half) - self.walk1[k - 1][1]
-            self.edge_t1.append(self.ledger.charge("lane1", "nav_chars",
-                                                   chars))
+            self.ledger.charge("lane1", "nav_chars", chars)
+            self.charged1 = k
         return self.walk1[k][0]
 
     def _lane1_advance(self, reconcile: bool = True) -> None:
         """Move lane 1 onto the edge the caller has peeked."""
         self.b1, self.cum1 = self.walk1[self.next1]
-        self.t1 = self.edge_t1[self.next1 - 1]
         self.next1 += 1
         if self.tree.nodes[self.b1].is_leaf:
             raise _LeafExit(self.tree.nodes[self.b1].ref)
@@ -123,83 +146,69 @@ class _TwoLaneDriver:
             self._apply_overlap()
 
     def _apply_overlap(self) -> None:
-        """Shorten lane 2 from the left wherever lane 1 now overlaps it."""
+        """Shorten lane 2 from the left by lane 1's new edge, which now
+        overlaps it (invariant 2), or align on first reaching it."""
         if not self.aligned:
             if self.cum1 >= self.anchor:
                 self._align()
             return
         ov = self.cum1 - self.anchor
-        if ov <= 0:
-            return
+        self.anchor = self.cum1
         if ov >= self.cum2:
             # lane 1 covers lane 2's whole string; lane 2 restarts after it
-            self.b2, self.cum2 = ROOT, 0
-            self.e2 = self.cum1
+            self.b2 = ROOT
             return
-        self.b2 = shorten(self.anc, self.b2, ov, self.cum2 - ov)
-        self.cum2 -= ov
-        self.t2 = self.ledger.charge("lane2", "shortens", 1,
-                                     ready=self.t1 + 1)
-        if self.tree.nodes[self.b2].is_leaf:
-            raise _LeafExit(self.tree.nodes[self.b2].ref - self.anchor)
-        self._probe_chain()
+        self.b2 = level_ancestor_sl(self.anc, self.b2, ov)
+        self.ledger.charge("lane2", "shortens", 1, ready=self.ready2)
+        self._probe_ancestry(self.b1, self.b2)
 
     def _align(self) -> None:
         """First moment lane 1 reaches lane 2's anchored start: replay the
         shortening for every lane-1 node between the anchor and the current
         front, probing each replayed state (splits in that band would
         otherwise be passed without a probe)."""
-        base_b2, base_cum2, base_anchor = self.b2, self.cum2, self.anchor
+        base_b2, base_anchor = self.b2, self.anchor
+        base_cum2, e2 = self.cum2, self.anchor + self.cum2
         for node1, v in self.walk1[:self.next1]:
             if v < base_anchor:
                 continue
             d = v - base_anchor
-            if d >= base_cum2 and d > 0:
-                node_v, cum_v = ROOT, 0
-            elif d == 0:
-                node_v, cum_v = base_b2, base_cum2
+            if d == 0:
+                node_v = base_b2
+            elif d < base_cum2:
+                node_v = level_ancestor_sl(self.anc, base_b2, d)
+                self.ledger.charge("lane2", "shortens", 1, ready=self.ready2)
             else:
-                node_v = shorten(self.anc, base_b2, d, base_cum2 - d)
-                cum_v = base_cum2 - d
-                self.t2 = self.ledger.charge("lane2", "shortens", 1,
-                                             ready=self.t1 + 1)
+                node_v = ROOT
             self._probe_ancestry(node1, node_v)
             # lane 2's next node may complete this split's stored pair
-            if cum_v == self.tree.nodes[node_v].cum and self.e2 < self.m:
-                nxt = self.tree.nodes[node_v].children.get(self.pat.at(self.e2 + 1))
+            if e2 < self.m:
+                nxt = self.tree.nodes[node_v].children.get(self.pat.at(e2 + 1))
                 if nxt is not None:
                     self._probe(node1, nxt)
-            if v == self.cum1:
-                self.b2, self.cum2 = node_v, cum_v
-                if node_v == ROOT and v > base_anchor:
-                    self.e2 = self.cum1
+        # the loop ends at lane 1's node, v == cum1
+        self.b2, self.anchor = node_v, self.cum1
         self.aligned = True
-        nd = self.tree.nodes[self.b2]
-        if nd.is_leaf and self.cum2 < nd.cum:
-            raise _LeafExit(nd.ref - self.anchor)
 
-    def _lane2_next(self) -> Optional[tuple[str, NodeId, int]]:
-        """Lane 2's next move: the remainder of a partially covered edge,
-        or the child for the next query character."""
-        if self.cum2 < self.tree.nodes[self.b2].cum:
-            return ("mid", self.b2, self.tree.nodes[self.b2].cum - self.cum2)
-        if self.e2 >= self.m:
+    def _lane2_next(self) -> Optional[NodeId]:
+        """Lane 2's child for the next query symbol; None at the end."""
+        e2 = self.anchor + self.cum2
+        if e2 >= self.m:
             return None
-        nxt = self.tree.nodes[self.b2].children.get(self.pat.at(self.e2 + 1))
+        nxt = self.tree.nodes[self.b2].children.get(self.pat.at(e2 + 1))
         if nxt is None:
             raise _Absent
-        return ("child", nxt, self.tree.nodes[nxt].skip)
+        return nxt
 
-    def _lane2_take(self, kind: str, node: NodeId, d2: int, ready: int) -> None:
-        chars = min(self.e2 + d2, self.m) - self.e2
-        self.t2 = self.ledger.charge("lane2", "nav_chars", chars, ready=ready)
-        self.b2 = node
-        self.cum2 += d2
-        self.e2 += d2
+    def _lane2_take(self, node: NodeId, ready: int) -> None:
         nd = self.tree.nodes[node]
-        if nd.is_leaf and self.cum2 == nd.cum:
+        chars = min(nd.skip, self.m - self.anchor - self.cum2)
+        self.ledger.charge("lane2", "nav_chars", chars, ready=ready)
+        self.b2 = node
+        if nd.is_leaf:
             raise _LeafExit(nd.ref - self.anchor)
-        self._probe_chain()
+        if self.aligned:
+            self._probe_ancestry(self.b1, self.b2)
 
     # -- probing --------------------------------------------------------
 
@@ -207,8 +216,6 @@ class _TwoLaneDriver:
         """Probe (a, b) unless it lies outside the window of stored pairs
         (see :meth:`_probe_ancestry`)."""
         nodes = self.tree.nodes
-        if a == ROOT:
-            return
         pa = nodes[a].parent
         if b == ROOT:
             if pa != ROOT:
@@ -258,8 +265,6 @@ class _TwoLaneDriver:
         all and a_k's at most m - cum(a_k); with the one ROOT probe and
         cum(a_(k-1)) < ceil(m/2) that is at most m + ceil(m/2) - 1 probes,
         within the 2m + 2 the harness checks."""
-        if a == ROOT:
-            return
         nodes = self.tree.nodes
         low = 2 * nodes[nodes[a].parent].cum - nodes[a].cum
         self._probe(a, ROOT)
@@ -267,62 +272,43 @@ class _TwoLaneDriver:
             self._probe(a, b)
             b = nodes[b].parent
 
-    def _probe_chain(self) -> None:
-        if self.aligned and self.anchor == self.cum1:
-            self._probe_ancestry(self.b1, self.b2)
-
     # -- phases -----------------------------------------------------------
 
     def _initial_phase(self) -> None:
         """Both lanes independently navigate roughly a quarter of the query,
         stopping at the last node not beyond t_init."""
+        nodes = self.tree.nodes
         while True:
             node = self._lane1_peek_edge()
-            if node is None or self.cum1 >= self.t_init:
-                break
-            if self.tree.nodes[node].cum > self.t_init:
+            if node is None or nodes[node].cum > self.t_init:
                 break
             self._lane1_advance(reconcile=False)
         while True:
-            info = self._lane2_next()
-            if info is None:
+            node = self._lane2_next()
+            if node is None or nodes[node].cum > self.t_init:
                 break
-            kind, node, d2 = info
-            if self.cum2 + d2 > self.t_init:
-                break
-            self._lane2_take(kind, node, d2, ready=0)
+            self._lane2_take(node, ready=0)
         self._apply_overlap()
 
     def _navigate_one(self) -> None:
-        """One step of the core loop: extend lane 2 by one edge, first
-        extending lane 1 (shortening lane 2) while lane 2's next edge would
-        make it longer than lane 1."""
-        while True:
-            info = self._lane2_next()
-            if info is None:
-                # lane 2 exhausted: only reachable while lane 1 lags behind
-                if self._lane1_peek_edge() is None:
-                    raise AssertionError("both lanes stuck before covering Q")
-                self._lane1_advance()
-                if self.cum1 + self.cum2 >= self.m:
-                    return
-                continue
-            kind, node, d2 = info
-            if self.cum1 >= self.cum2 + d2:
-                self._lane2_take(kind, node, d2, ready=self.t1 + 1)
-                return
-            if self._lane1_peek_edge() is not None:
-                # the pair skipped by the balance condition may be exactly
-                # the stored one; probe it before overtaking
-                if kind == "child" and self.anchor == self.cum1:
-                    self._probe(self.b1, node)
-                self._lane1_advance()
-                if self.cum1 + self.cum2 >= self.m:
-                    return
-                continue
-            # lane 1 exhausted its subquery; lane 2 continues regardless
-            self._lane2_take(kind, node, d2, ready=self.t1 + 1)
-            return
+        """One move of the core loop: lane 2 takes its next edge unless
+        that would make it longer than lane 1 while lane 1 can still
+        advance; then lane 1 advances (shortening lane 2) instead."""
+        node = self._lane2_next()
+        if node is None:
+            # lane 2 exhausted: only reachable while lane 1 lags behind
+            if self._lane1_peek_edge() is None:
+                raise AssertionError("both lanes stuck before covering Q")
+            self._lane1_advance()
+        elif self.cum1 < self.tree.nodes[node].cum and \
+                self._lane1_peek_edge() is not None:
+            # the pair skipped by the balance condition may be exactly
+            # the stored one; probe it before overtaking
+            if self.aligned:
+                self._probe(self.b1, node)
+            self._lane1_advance()
+        else:
+            self._lane2_take(node, ready=self.ready2)
 
     def _rebalance(self) -> None:
         """The concatenation covers the query, but the stored split may sit

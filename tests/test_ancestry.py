@@ -1,4 +1,4 @@
-"""Suffix links, binary lifting, and the shorten operation."""
+"""Suffix links, binary lifting, and shortening by level ancestors."""
 
 import gc
 import random
@@ -7,11 +7,13 @@ import weakref
 import pytest
 
 import parsuffix.ancestry as ancestry
-from parsuffix import (ROOT, build_ancestry, build_suffix_tree,
-                       build_tree_halving_dict, make_text)
-from parsuffix.ancestry import AncestryError, level_ancestor_sl, shorten
+from parsuffix import (ROOT, build_ancestry, build_container,
+                       build_suffix_tree, build_tree_halving_dict,
+                       dump_container, load_container, make_text)
+from parsuffix.ancestry import AncestryError, level_ancestor_sl
 
 from conftest import ABRA, find_node, random_text
+from test_construction import IDS, TEXTS
 
 
 def naive_links(anc, nid, steps):
@@ -57,11 +59,38 @@ def test_level_ancestor_matches_naive_walk():
 
 
 def test_shorten_golden(abra_tree, abra_anc):
-    # removing 2 chars from ABRA and asking for >= 1 remaining: the "RA"
-    # node (shallowest with cum >= 1 on the RA path, since "R" alone has
-    # no node)
-    got = shorten(abra_anc, find_node(abra_tree, "ABRA"), 2, 1)
+    # removing 2 chars from ABRA: the "RA" node
+    got = level_ancestor_sl(abra_anc, find_node(abra_tree, "ABRA"), 2)
     assert got == find_node(abra_tree, "RA")
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
+def test_level_ancestor_of_internal_node_is_internal(raw, loaded):
+    """What keeps tree-par2's lane 2 on a node: removing d < cum(v)
+    symbols from an internal node v lands on an internal node of cum
+    exactly cum(v) - d, never inside an edge."""
+    cont = build_container(raw, "tree")
+    tree = load_container(dump_container(cont)).index if loaded \
+        else cont.index
+    anc = build_ancestry(tree)
+    nodes = tree.nodes
+    for nid, nd in enumerate(nodes):
+        if not nd.children:
+            continue
+        for d in range(1, nd.cum):
+            got = nodes[level_ancestor_sl(anc, nid, d)]
+            assert got.children and got.cum == nd.cum - d, (nid, d)
+
+
+def test_relabelled_edge_has_no_suffix_link():
+    """abab's tree with the root's edge for 'b' relabelled 'c' (the edit
+    the loader now rejects in a container): "ab" has no link target."""
+    tree = build_suffix_tree(make_text(b"abab", 1))
+    children = tree.nodes[ROOT].children
+    children[ord("c")] = children.pop(ord("b"))
+    with pytest.raises(AncestryError, match="suffix link"):
+        build_ancestry(tree)
 
 
 def test_shorten_overdeep_raises(abra_tree, abra_anc):

@@ -228,4 +228,5 @@ def test_query_rejects_tree_without_suffix_links(tmp_path, capsys):
     rc = main(["query", "--index", str(path), "--pattern", "ab",
                "--algo", "tree-par2"])
     assert rc == 2
-    assert "suffix link" in capsys.readouterr().err
+    assert "edge symbol 99 disagrees with the text" in \
+        capsys.readouterr().err

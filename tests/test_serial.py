@@ -1,13 +1,17 @@
 """Binary container round-trips."""
 
+import random
 import struct
 
 import pytest
 
-from parsuffix import (Container, ContainerError, build_ancestry,
-                       build_container, dump_container, load_container,
-                       load_file, par_query_interleaved, par_query_tree2,
+from parsuffix import (ALGORITHMS, Container, ContainerError, StepLedger,
+                       build_ancestry, build_container, dump_container,
+                       load_container, load_file, oracle_scan,
+                       par_query_interleaved, par_query_tree2,
                        par_query_trie, save_file, seq_query)
+from parsuffix.ancestry import AncestryError
+from parsuffix.lanes import seq_map
 from parsuffix.textmodel import Pattern
 
 from conftest import ABRA, naive_positions
@@ -189,3 +193,95 @@ def test_layer_block_with_wrong_stride_rejected(k, stride):
     cont.layered.layers[k].tree.stride = stride
     with pytest.raises(ContainerError, match="stride"):
         load_container(dump_container(cont))
+
+
+def _dict_triples(blob, cont):
+    """Byte offset of the tree or trie container's first dictionary
+    triple."""
+    return len(blob) - 12 * len(cont.dct.entries)
+
+
+def test_repeated_dictionary_key_rejected():
+    """The second triple takes the first one's pair.  A loader that let
+    ``PairDict.add`` see it escaped with a ``PairDictError`` traceback."""
+    cont = build_container(ABRA, "tree")
+    blob = bytearray(dump_container(cont))
+    off = _dict_triples(blob, cont)
+    blob[off + 12:off + 20] = blob[off:off + 8]
+    with pytest.raises(ContainerError, match="pair .* twice"):
+        load_container(bytes(blob))
+
+
+def test_repeated_dictionary_target_rejected():
+    """Two pairs map to one node, so another node has none."""
+    cont = build_container(ABRA, "tree")
+    blob = bytearray(dump_container(cont))
+    off = _dict_triples(blob, cont)
+    blob[off + 20:off + 24] = blob[off + 8:off + 12]
+    with pytest.raises(ContainerError, match="node .* twice"):
+        load_container(bytes(blob))
+
+
+def test_trie_block_holding_a_tree_rejected():
+    """ABRACADABRA's tree container with its kind byte set to trie: a
+    loader that took it answered trie-par p=2 with () for ABRA."""
+    blob = bytearray(dump_container(build_container(ABRA, "tree")))
+    blob[5] = 0
+    with pytest.raises(ContainerError, match="in a trie"):
+        load_container(bytes(blob))
+
+
+FLIP_TEXT = b"ABRACADABRAXABRACAD"
+FLIP_PATTERNS = [b"A", b"AB", b"RA", b"ABRA", b"CAD", b"BRAX", b"ACADA",
+                 b"ABRACAD", b"DABRAXAB", b"ABRD", b"XX",
+                 b"RACADABRAXABRA"]
+
+
+def _answers_like_the_oracle(cont):
+    """Every registry algorithm of the container's kind, at lane counts 2
+    and 4 where it takes one, answers FLIP_PATTERNS as ``oracle_scan``;
+    a tree-par2 ``AncestryError`` (reported by the CLI) also passes."""
+    for algo in ALGORITHMS.values():
+        if cont.kind not in algo.kinds:
+            continue
+        for param in ((2, 4) if algo.lane else (None,)):
+            for q in FLIP_PATTERNS:
+                pat = Pattern.from_bytes(q)
+                if algo.unusable(pat, param, cont):
+                    continue
+                try:
+                    res = algo.run(cont, pat, param, StepLedger(), seq_map)
+                except AncestryError:
+                    assert algo.name == "tree-par2"
+                    return
+                assert res.positions == oracle_scan(FLIP_TEXT, pat), \
+                    (algo.name, param, q)
+
+
+@pytest.mark.parametrize("kind,p", [("tree", 1), ("trie", 1),
+                                    ("interleaved", 4)])
+def test_single_byte_changes_rejected_or_harmless(kind, p):
+    """Seeded single-byte changes to the header fields after the magic
+    and to the index blocks: each mutant is rejected with
+    ``ContainerError`` or answers exactly as the oracle.  The raw text
+    and the dictionary pairs are not covered: a changed text symbol can
+    keep every edge consistent, and a changed pair needs a checksum."""
+    cont = build_container(FLIP_TEXT, kind, p)
+    blob = dump_container(cont)
+    trees = [cont.index] if cont.index else \
+        [layer.tree for layer in cont.layered.layers.values()]
+    blocks = 4 + 14 + len(FLIP_TEXT)
+    # an index block: stride and count, then 14 bytes per node and 6 per
+    # child entry, one entry per non-root node
+    end = blocks + sum(8 + 20 * len(t.nodes) - 6 for t in trees)
+    offsets = list(range(4, 18)) + list(range(blocks, end))
+    rng = random.Random(9)
+    for _ in range(300):
+        off = rng.choice(offsets)
+        mutant = bytearray(blob)
+        mutant[off] = (mutant[off] + rng.randrange(1, 256)) % 256
+        try:
+            got = load_container(bytes(mutant))
+        except ContainerError:
+            continue
+        _answers_like_the_oracle(got)
