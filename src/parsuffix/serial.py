@@ -50,7 +50,7 @@ from typing import Optional
 
 from .halving import PairDict
 from .interleaved import LayerIndex, LayeredIndex
-from .suffixindex import Node, SuffixIndex
+from .suffixindex import NO_CHILDREN, Node, SuffixIndex
 from .textmodel import make_text
 
 MAGIC = b"PQST"
@@ -188,12 +188,14 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
             raise ContainerError("node %d: edge of %d symbols in a %s, or "
                                  "suffix ref outside the text"
                                  % (nid, skip, kind))
-        nd = Node(parent=None if parent == _NO_PARENT else parent,
-                  skip=skip, cum=0, ref=ref or None)
+        children = NO_CHILDREN
         if nchild:
-            nd.children = dict(_CHILD.iter_unpack(
+            children = dict(_CHILD.iter_unpack(
                 rd.take_bytes(_CHILD.size * nchild)))
-        nodes.append(nd)
+        # positional arguments build a node twice as fast as keywords;
+        # a leaf shares NO_CHILDREN, as finalize leaves it anyway
+        nodes.append(Node(None if parent == _NO_PARENT else parent, skip, 0,
+                          children, ref or None))
     if nodes[0].parent is not None:
         raise ContainerError("node 0 is not a root")
     # Parents before children, each node reached once, from the node its
@@ -228,8 +230,8 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
 
 def _check_labels(index: SuffixIndex) -> None:
     """Every leaf holds a suffix ref and sits at that suffix's depth
-    within its subsequence, and every edge's symbol is the data symbol its
-    child's leftmost leaf has there."""
+    within its subsequence, and every edge's symbol is the one its child's
+    leftmost leaf has at the parent's depth."""
     nodes = index.nodes
     data = index.data
     starts = index.seq_starts
