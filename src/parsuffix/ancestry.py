@@ -11,9 +11,10 @@ one step per shorten).  Links are computed top-down from the stored tree
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
-from .suffixindex import ROOT, Node, NodeId, SuffixIndex
+from .suffixindex import ROOT, NodeId, SuffixIndex
 
 
 class AncestryError(Exception):
@@ -22,18 +23,18 @@ class AncestryError(Exception):
 
 @dataclass
 class AncestryIndex:
-    # the tree's node list, not the tree: the tree holds its ancestry,
+    # the tree's cum array, not the tree: the tree holds its ancestry,
     # and no cycle keeps a dropped tree alive until a full collection
-    nodes: list[Node]
-    suffix_link: list[NodeId]        # per node; root links to itself
-    jump: list[list[NodeId]]         # jump[j][node] = 2^j-th suffix-link ancestor
+    cum: array
+    suffix_link: array               # per node; root links to itself
+    jump: list[array]                # jump[j][node] = 2^j-th suffix-link ancestor
 
     def depth(self, nid: NodeId) -> int:
         """Depth in the suffix-links tree (= cumulative skip value)."""
-        return self.nodes[nid].cum
+        return self.cum[nid]
 
 
-def suffix_links(tree: SuffixIndex) -> list[NodeId]:
+def suffix_links(tree: SuffixIndex) -> array:
     """Suffix link of every node (the root links to itself), top-down.
 
     A node's string minus its first character extends its parent's string
@@ -44,48 +45,51 @@ def suffix_links(tree: SuffixIndex) -> list[NodeId]:
     """
     if tree.kind != "tree":
         raise ValueError("suffix links require a suffix tree")
-    nodes = tree.nodes
+    parent = tree.parent
+    cum = tree.cum
+    children = tree.children
+    lrefs = tree.leftmost_leaf_ref
     data = tree.data
-    links = [ROOT] * len(nodes)
-    stack = list(nodes[ROOT].children.values())
+    links = [ROOT] * len(cum)          # a list reads back without boxing
+    stack = list(children[ROOT].values())
     while stack:                                 # parents before children
         nid = stack.pop()
-        nd = nodes[nid]
-        stack.extend(nd.children.values())
-        want = nd.cum - 1
-        first = nd.leftmost_leaf_ref     # data[first + d]: link symbol d
-        cur = links[nd.parent]
-        cn = nodes[cur]
+        stack.extend(children[nid].values())
+        want = cum[nid] - 1
+        first = lrefs[nid]               # data[first + d]: link symbol d
+        cur = links[parent[nid]]
+        depth = cum[cur]
         try:
-            while cn.cum < want:
-                cur = cn.children[data[first + cn.cum]]
-                cn = nodes[cur]
+            while depth < want:
+                cur = children[cur][data[first + depth]]
+                depth = cum[cur]
         except (KeyError, IndexError):
             raise AncestryError("suffix link target missing "
                                 "(not a suffix tree)") from None
-        if cn.cum != want:
+        if depth != want:
             raise AncestryError("suffix link target overshoots "
                                 "(not a suffix tree)")
         links[nid] = cur
-    return links
+    return array("i", links)
 
 
 def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
     """Suffix links for every node (:func:`suffix_links`) plus binary
-    lifting tables (O(n log n) for a tree of n nodes).
+    lifting tables (O(n log n) for a tree of n nodes), one
+    ``array("i")`` per level.
 
     Built once per tree: the result is kept as ``tree.ancestry`` and
     returned by later calls, so the tree halving dictionary and tree-par2
     share it."""
     if tree.ancestry is None:
         links = suffix_links(tree)
-        maxd = max((nd.cum for nd in tree.nodes), default=0)
-        levels = max(1, maxd.bit_length())
+        levels = max(1, max(tree.cum).bit_length())
         jump = [links]
-        for j in range(1, levels):
-            prev = jump[j - 1]
-            jump.append([prev[prev[nid]] for nid in range(len(tree.nodes))])
-        tree.ancestry = AncestryIndex(tree.nodes, links, jump)
+        prev = links.tolist()      # a list reads its ints without boxing
+        for _ in range(1, levels):
+            prev = [prev[x] for x in prev]
+            jump.append(array("i", prev))
+        tree.ancestry = AncestryIndex(tree.cum, links, jump)
     return tree.ancestry
 
 

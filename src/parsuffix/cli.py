@@ -52,8 +52,8 @@ def _dict_size(cont: Container) -> int:
 
 def _node_count(cont: Container) -> int:
     if cont.index is not None:
-        return len(cont.index.nodes)
-    return sum(len(l.tree.nodes) for l in cont.layered.layers.values())
+        return len(cont.index)
+    return sum(len(l.tree) for l in cont.layered.layers.values())
 
 
 def cmd_build(args: argparse.Namespace) -> int:

@@ -9,9 +9,10 @@ least half of it; this keeps one entry per node despite path compression.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .ancestry import build_ancestry, level_ancestor_sl
 from .suffixindex import ROOT, NodeId, SuffixIndex
@@ -28,18 +29,27 @@ class PairDict:
     Realized as a hash map with constant expected probe time; probes are
     charged one step regardless of the backing structure.  ``target`` is
     the index the mapped values live in (the owner itself for halving
-    dictionaries, the next layer down for layer dictionaries).
+    dictionaries, the next layer down for layer dictionaries).  A pair
+    (a, b) is keyed ``a << 32 | b`` (node ids fit the container's u32), so
+    ``entries`` holds only ints: no tuple per entry, and the dict is not
+    tracked by the collector.  Packed keys sort as their pairs do.
     """
 
     owner: SuffixIndex
     target: SuffixIndex
-    entries: dict[tuple[NodeId, NodeId], NodeId] = field(default_factory=dict)
+    entries: dict[int, NodeId] = field(default_factory=dict)
 
     def add(self, a: NodeId, b: NodeId, w: NodeId) -> None:
-        key = (a, b)
+        key = a << 32 | b
         if key in self.entries and self.entries[key] != w:
-            raise PairDictError("halving pair collision for %r" % (key,))
+            raise PairDictError("halving pair collision for (%d, %d)"
+                                % (a, b))
         self.entries[key] = w
+
+    def pairs(self) -> Iterator[tuple[tuple[NodeId, NodeId], NodeId]]:
+        """The entries as ((a, b), w), sorted by pair."""
+        for key, w in sorted(self.entries.items()):
+            yield (key >> 32, key & 0xFFFFFFFF), w
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -49,7 +59,7 @@ def probe(d: PairDict, index: SuffixIndex, a: NodeId, b: NodeId) -> Optional[Nod
     """Look up the ordered pair (a, b); None when absent."""
     if index is not d.owner:
         raise PairDictError("probe with nodes from a foreign index")
-    return d.entries.get((a, b))
+    return d.entries.get(a << 32 | b)
 
 
 def build_trie_halving_dict(trie: SuffixIndex) -> PairDict:
@@ -62,29 +72,29 @@ def build_trie_halving_dict(trie: SuffixIndex) -> PairDict:
     """
     if trie.kind != "trie":
         raise ValueError("trie halving dictionary requires a suffix trie")
-    nodes = trie.nodes
+    children = trie.children
+    lrefs = trie.leftmost_leaf_ref
     data = trie.data
-    link = [ROOT] * len(nodes)
-    a1 = [ROOT] * len(nodes)
-    a2 = [ROOT] * len(nodes)
+    link = array("i", [ROOT]) * len(trie)
+    a1 = array("i", link)
+    a2 = array("i", link)
     order = [ROOT]
     for u in order:                   # shallower nodes come first
-        un = nodes[u]
-        for c, x in un.children.items():
+        depth = trie.cum[u] + 1
+        for c, x in children[u].items():
             order.append(x)
-            depth = un.cum + 1
             if u != ROOT:
-                link[x] = nodes[link[u]].children[c]
+                link[x] = children[link[u]][c]
             if depth % 2:
-                mid = data[nodes[x].leftmost_leaf_ref - 1 + depth // 2]
-                a1[x] = nodes[a1[u]].children[mid]
+                mid = data[lrefs[x] - 1 + depth // 2]
+                a1[x] = children[a1[u]][mid]
                 if a2[u] != ROOT:
-                    a2[x] = nodes[link[a2[u]]].children[c]
+                    a2[x] = children[link[a2[u]]][c]
             else:
                 a1[x] = a1[u]
-                a2[x] = nodes[a2[u]].children[c]
+                a2[x] = children[a2[u]][c]
     d = PairDict(owner=trie, target=trie)
-    for nid in range(1, len(nodes)):
+    for nid in range(1, len(trie)):
         d.add(a1[nid], a2[nid], nid)
     return d
 
@@ -104,25 +114,25 @@ def build_tree_halving_dict(tree: SuffixIndex) -> PairDict:
     if tree.kind != "tree":
         raise ValueError("tree halving dictionary requires a suffix tree")
     anc = build_ancestry(tree)
-    nodes = tree.nodes
-    pairs = [(nid, ROOT) for nid in range(len(nodes))]
+    children = tree.children
+    cum = tree.cum
+    left = array("i", range(len(tree)))     # a root child x: (x, ROOT)
+    right_part = array("i", [ROOT]) * len(tree)
     path: list[NodeId] = []
     cums: list[int] = []
-    stack = [(nid, 0) for nid in nodes[ROOT].children.values()
-             if nodes[nid].children]
+    stack = [(nid, 0) for nid in children[ROOT].values() if children[nid]]
     while stack:
         u, depth = stack.pop()
-        un = nodes[u]
         del path[depth:], cums[depth:]
         path.append(u)
-        cums.append(un.cum)
-        b1 = path[bisect_left(cums, (un.cum + 2) // 2)]
-        right = nodes[level_ancestor_sl(anc, u, nodes[b1].cum)].children
-        for c, x in un.children.items():
-            pairs[x] = (b1, right[c])
-            if nodes[x].children:
+        cums.append(cum[u])
+        b1 = path[bisect_left(cums, (cum[u] + 2) // 2)]
+        right = children[level_ancestor_sl(anc, u, cum[b1])]
+        for c, x in children[u].items():
+            left[x], right_part[x] = b1, right[c]
+            if children[x]:
                 stack.append((x, depth + 1))
     d = PairDict(owner=tree, target=tree)
-    for nid in range(1, len(nodes)):
-        d.add(*pairs[nid], nid)
+    for nid in range(1, len(tree)):
+        d.add(left[nid], right_part[nid], nid)
     return d

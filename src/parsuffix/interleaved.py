@@ -14,6 +14,7 @@ text and its subtree reported.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,19 +69,20 @@ def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     if upper.k != 2 * lower.k:
         raise ParameterError("layer dict needs strides k and k/2")
     low = lower.tree
-    covers = [(ROOT, ROOT)] * len(low.nodes)
+    cum, skip = low.cum, low.skip
+    even_cover = array("i", [ROOT]) * len(low)
+    odd_cover = array("i", even_cover)
     for nid in low._topo_order()[1:]:
-        nd = low.nodes[nid]
-        short_len = nd.cum - nd.skip + 1
-        first = nd.leftmost_leaf_ref - 1   # data[first + i]: the node's symbol i
-        even, odd = covers[nd.parent]
-        covers[nid] = (_cover(upper.tree, even, low.data, first,
-                              (short_len + 1) // 2),
-                       _cover(upper.tree, odd, low.data, first + 1,
-                              short_len // 2))
+        short_len = cum[nid] - skip[nid] + 1
+        first = low.leftmost_leaf_ref[nid] - 1  # data[first + i]: symbol i
+        par = low.parent[nid]
+        even_cover[nid] = _cover(upper.tree, even_cover[par], low.data, first,
+                                 (short_len + 1) // 2)
+        odd_cover[nid] = _cover(upper.tree, odd_cover[par], low.data,
+                                first + 1, short_len // 2)
     d = PairDict(owner=upper.tree, target=low)
-    for nid in range(1, len(low.nodes)):
-        d.add(*covers[nid], nid)
+    for nid in range(1, len(low)):
+        d.add(even_cover[nid], odd_cover[nid], nid)
     return d
 
 
@@ -88,9 +90,10 @@ def _cover(index: SuffixIndex, cur: NodeId, data: Sequence[int], first: int,
            length: int) -> NodeId:
     """First node with cumulative skip >= ``length`` on the navigation path
     of data[first], data[first + 2], ..., resuming at ``cur`` on that path."""
-    nodes = index.nodes
-    while nodes[cur].cum < length:
-        nxt = nodes[cur].children.get(data[first + 2 * nodes[cur].cum])
+    cum = index.cum
+    children = index.children
+    while cum[cur] < length:
+        nxt = children[cur].get(data[first + 2 * cum[cur]])
         if nxt is None:
             raise PairDictError("layer navigation fell off (layer mismatch)")
         cur = nxt
@@ -137,7 +140,7 @@ def deinterleave_paths(path1: NavPath, path2: NavPath, dct: PairDict,
             j += 1
         w = probe(dct, dct.owner, path1[i][0], path2[j][0])
         if w is not None:
-            hits[w] = lower.nodes[w].cum
+            hits[w] = lower.cum[w]
     probes = i + j                     # one per pointer advance
     if ledger is not None and probes:
         ledger.charge(lane, "probes", probes, timed=False)

@@ -23,18 +23,24 @@ Layout (all integers little-endian):
 
 Only the structural fields are stored; cumulative skips, leftmost leaf
 references and child ordering are recomputed on load, and suffix links /
-lifting tables are rebuilt on demand.  Node ids survive a round trip
-unchanged, so dictionary triples and query traces stay comparable.
+lifting tables are rebuilt on demand.  A node record is appended field by
+field to the index's arrays (:class:`~parsuffix.suffixindex.SuffixIndex`),
+so a node's id is its record's position, and ids survive a round trip
+unchanged: dictionary triples and query traces stay comparable.  A pair
+dictionary's packed keys (``a << 32 | b``) sort as the (a, b) pairs do,
+so the triples come out in the same order.
 
-Loading raises ``ContainerError`` unless every index block has the
-stride its position implies (1 for a trie or tree, k for layer k) and
-spells one tree rooted at node 0 (child ids in range, each node listed
-once and by the parent it names, no empty edges, only one-symbol edges
-in a trie, refs inside the data) whose leaves report every text position
-exactly once, each leaf at its suffix's depth, every edge symbol is the
-data symbol at that depth below its child's leftmost leaf, every
-dictionary block maps each non-root node of its target exactly once from
-distinct pairs, and the input ends with the last block.
+Loading raises ``ContainerError`` unless the header's ``p`` is 1 for a
+trie or tree and a power of two for an interleaved index, every index
+block has the stride its position implies (1 for a trie or tree, k for
+layer k) and spells one tree rooted at node 0 (child and parent ids in
+range, each node listed once and by the parent it names, no empty edges
+and none on the root, only one-symbol edges in a trie, refs inside the
+data) whose leaves report every text position exactly once, each leaf at
+its suffix's depth, every edge symbol is the data symbol at that depth
+below its child's leftmost leaf, every dictionary block maps each
+non-root node of its target exactly once from distinct pairs, and the
+input ends with the last block.
 
 Left unchecked: the raw text (a changed symbol can keep every edge symbol
 and depth consistent) and which pair a dictionary entry holds; catching
@@ -44,13 +50,15 @@ either needs a checksum or a per-leaf label check.
 from __future__ import annotations
 
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 from .halving import PairDict
 from .interleaved import LayerIndex, LayeredIndex
-from .suffixindex import NO_CHILDREN, Node, SuffixIndex
+from .lanes import is_pow2
+from .suffixindex import NO_CHILDREN, NO_PARENT, SuffixIndex
 from .textmodel import make_text
 
 MAGIC = b"PQST"
@@ -105,17 +113,18 @@ def build_container(raw: bytes, kind: str, p: int = 1) -> Container:
 
 
 def _pack_index(out: bytearray, index: SuffixIndex) -> None:
-    out += _INDEX_HEAD.pack(index.stride, len(index.nodes))
-    for nd in index.nodes:
-        parent = _NO_PARENT if nd.parent is None else nd.parent
-        out += _NODE.pack(parent, nd.skip, nd.ref or 0, len(nd.children))
-        for sym, child in sorted(nd.children.items()):
+    out += _INDEX_HEAD.pack(index.stride, len(index))
+    for parent, skip, ref, children in zip(index.parent, index.skip,
+                                           index.ref, index.children):
+        out += _NODE.pack(_NO_PARENT if parent == NO_PARENT else parent,
+                          skip, ref, len(children))
+        for sym, child in sorted(children.items()):
             out += _CHILD.pack(sym, child)
 
 
 def _pack_dict(out: bytearray, d: PairDict) -> None:
-    out += _COUNT.pack(len(d.entries))
-    for (a, b), w in sorted(d.entries.items()):
+    out += _COUNT.pack(len(d))
+    for (a, b), w in d.pairs():
         out += _TRIPLE.pack(a, b, w)
 
 
@@ -177,47 +186,53 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
     if count < 1:
         raise ContainerError("index block has no root")
     index = SuffixIndex(make_text(raw, stride), kind)
-    index.nodes.clear()
-    nodes = index.nodes
     data_len = len(index.data)
     max_skip = 1 if kind == "trie" else data_len
+    # each record is appended to the arrays; a leaf shares NO_CHILDREN,
+    # as finalize leaves it anyway
+    parents, skips, refs = array("i"), array("i"), array("i")
+    children: list[dict[int, int]] = []
     for nid in range(count):
         parent, skip, ref, nchild = rd.take(_NODE)
-        if ref > data_len or (parent != _NO_PARENT and
-                              not 1 <= skip <= max_skip):
-            raise ContainerError("node %d: edge of %d symbols in a %s, or "
-                                 "suffix ref outside the text"
-                                 % (nid, skip, kind))
-        children = NO_CHILDREN
-        if nchild:
-            children = dict(_CHILD.iter_unpack(
-                rd.take_bytes(_CHILD.size * nchild)))
-        # positional arguments build a node twice as fast as keywords;
-        # a leaf shares NO_CHILDREN, as finalize leaves it anyway
-        nodes.append(Node(None if parent == _NO_PARENT else parent, skip, 0,
-                          children, ref or None))
-    if nodes[0].parent is not None:
+        if parent == _NO_PARENT:
+            parent = NO_PARENT
+            bad_edge = skip != 0
+        else:
+            bad_edge = not 1 <= skip <= max_skip or parent >= count
+        if bad_edge or ref > data_len:
+            raise ContainerError("node %d: edge of %d symbols in a %s, "
+                                 "parent out of range, or suffix ref "
+                                 "outside the text" % (nid, skip, kind))
+        parents.append(parent)
+        skips.append(skip)
+        refs.append(ref)
+        children.append(dict(_CHILD.iter_unpack(
+            rd.take_bytes(_CHILD.size * nchild))) if nchild else NO_CHILDREN)
+    if parents[0] != NO_PARENT:
         raise ContainerError("node 0 is not a root")
     # Parents before children, each node reached once, from the node its
     # parent field names: the block spells one tree rooted at node 0.
+    cum = array("i", bytes(4 * count))
     reached = bytearray(count)
     order = [0]
     try:
         for nid in order:
-            nd = nodes[nid]
-            for child in nd.children.values():
-                cn = nodes[child]
-                if cn.parent != nid or reached[child]:
+            for child in children[nid].values():
+                if parents[child] != nid or reached[child]:
                     raise ContainerError("node %d listed twice or under a "
                                          "node other than its parent" % child)
                 reached[child] = 1
-                cn.cum = nd.cum + cn.skip
+                cum[child] = cum[nid] + skips[child]
                 order.append(child)
-    except IndexError:
-        raise ContainerError("child id out of range") from None
+    except (IndexError, OverflowError):
+        raise ContainerError("child id out of range, or a path longer "
+                             "than the text") from None
     if len(order) != count:
         raise ContainerError("%d nodes unreachable from the root"
                              % (count - len(order)))
+    index.parent, index.skip, index.cum, index.ref = parents, skips, cum, refs
+    index.leftmost_leaf_ref = array("i", bytes(4 * count))
+    index.children = children
     index.finalize()
     _check_labels(index)
     n = index.text.base_len
@@ -232,24 +247,24 @@ def _check_labels(index: SuffixIndex) -> None:
     """Every leaf holds a suffix ref and sits at that suffix's depth
     within its subsequence, and every edge's symbol is the one its child's
     leftmost leaf has at the parent's depth."""
-    nodes = index.nodes
+    cum = index.cum
+    lrefs = index.leftmost_leaf_ref
     data = index.data
     starts = index.seq_starts
     ends = starts[1:] + (len(data) + 1,)        # one past each subsequence
     try:
-        for nd in nodes:
-            children = nd.children
+        for nid, children in enumerate(index.children):
             if children:
-                cum = nd.cum - 1
+                depth = cum[nid] - 1
                 for sym, child in children.items():
-                    if data[nodes[child].leftmost_leaf_ref + cum] != sym:
+                    if data[lrefs[child] + depth] != sym:
                         raise ContainerError("node %d: edge symbol %d "
                                              "disagrees with the text"
                                              % (child, sym))
                 continue
-            ref = nd.ref
-            if ref is None or \
-                    nd.cum != ends[bisect_right(starts, ref) - 1] - ref:
+            ref = index.ref[nid]
+            if not ref or \
+                    cum[nid] != ends[bisect_right(starts, ref) - 1] - ref:
                 raise ContainerError("a leaf is not at its suffix's depth")
     except IndexError:
         raise ContainerError("a leaf is not at its suffix's depth") from None
@@ -260,7 +275,7 @@ def _unpack_dict(rd: _Reader, owner: SuffixIndex,
     """A dictionary block: it must map every non-root node of ``target``
     exactly once, each from its own pair."""
     (count,) = rd.take(_COUNT)
-    nodes_o, nodes_t = len(owner.nodes), len(target.nodes)
+    nodes_o, nodes_t = len(owner), len(target)
     if count != nodes_t - 1:
         raise ContainerError("dictionary has %d entries for %d non-root "
                              "nodes" % (count, nodes_t - 1))
@@ -271,13 +286,14 @@ def _unpack_dict(rd: _Reader, owner: SuffixIndex,
     for a, b, w in _TRIPLE.iter_unpack(rd.take_bytes(_TRIPLE.size * count)):
         if a >= nodes_o or b >= nodes_o or w >= nodes_t:
             raise ContainerError("dictionary entry references missing node")
-        if (a, b) in entries:
+        key = a << 32 | b
+        if key in entries:
             raise ContainerError("dictionary maps the pair (%d, %d) twice"
                                  % (a, b))
         if seen[w]:
             raise ContainerError("dictionary maps node %d twice" % w)
         seen[w] = 1
-        entries[a, b] = w
+        entries[key] = w
     return d
 
 
@@ -291,6 +307,10 @@ def load_container(data: bytes) -> Container:
     if kind_code not in _KIND_NAMES:
         raise ContainerError("unknown index kind code %d" % kind_code)
     kind = _KIND_NAMES[kind_code]
+    if not (is_pow2(p) if kind == "interleaved" else p == 1):
+        raise ContainerError("a %s container with p = %d (a trie or tree "
+                             "needs 1, an interleaved index a power of two)"
+                             % (kind, p))
     (rawlen,) = rd.take(_RAWLEN)
     raw = rd.take_bytes(rawlen)
 

@@ -52,8 +52,8 @@ from .halving import PairDict, probe
 from .lanes import Mapper, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
-from .suffixindex import (ROOT, NodeId, SuffixIndex, descend, occurrences,
-                          verify_against_text)
+from .suffixindex import (NO_PARENT, ROOT, NodeId, SuffixIndex, descend,
+                          occurrences, verify_against_text)
 from .textmodel import Pattern
 from .trieparallel import ParameterError
 
@@ -91,6 +91,8 @@ class _TwoLaneDriver:
                  pat: Pattern, ledger: StepLedger,
                  lane1: tuple[list[tuple[NodeId, int]], bool]) -> None:
         self.tree = tree
+        self.cum, self.parent = tree.cum, tree.parent
+        self.children = tree.children
         self.anc = anc
         self.dct = dct
         self.pat = pat
@@ -114,7 +116,7 @@ class _TwoLaneDriver:
 
     @property
     def cum2(self) -> int:
-        return self.tree.nodes[self.b2].cum
+        return self.cum[self.b2]
 
     @property
     def ready2(self) -> int:
@@ -140,8 +142,8 @@ class _TwoLaneDriver:
         """Move lane 1 onto the edge the caller has peeked."""
         self.b1, self.cum1 = self.walk1[self.next1]
         self.next1 += 1
-        if self.tree.nodes[self.b1].is_leaf:
-            raise _LeafExit(self.tree.nodes[self.b1].ref)
+        if not self.children[self.b1]:
+            raise _LeafExit(self.tree.ref[self.b1])
         if reconcile:
             self._apply_overlap()
 
@@ -183,7 +185,7 @@ class _TwoLaneDriver:
             self._probe_ancestry(node1, node_v)
             # lane 2's next node may complete this split's stored pair
             if e2 < self.m:
-                nxt = self.tree.nodes[node_v].children.get(self.pat.at(e2 + 1))
+                nxt = self.children[node_v].get(self.pat.at(e2 + 1))
                 if nxt is not None:
                     self._probe(node1, nxt)
         # the loop ends at lane 1's node, v == cum1
@@ -195,18 +197,17 @@ class _TwoLaneDriver:
         e2 = self.anchor + self.cum2
         if e2 >= self.m:
             return None
-        nxt = self.tree.nodes[self.b2].children.get(self.pat.at(e2 + 1))
+        nxt = self.children[self.b2].get(self.pat.at(e2 + 1))
         if nxt is None:
             raise _Absent
         return nxt
 
     def _lane2_take(self, node: NodeId, ready: int) -> None:
-        nd = self.tree.nodes[node]
-        chars = min(nd.skip, self.m - self.anchor - self.cum2)
+        chars = min(self.tree.skip[node], self.m - self.anchor - self.cum2)
         self.ledger.charge("lane2", "nav_chars", chars, ready=ready)
         self.b2 = node
-        if nd.is_leaf:
-            raise _LeafExit(nd.ref - self.anchor)
+        if not self.children[node]:
+            raise _LeafExit(self.tree.ref[node] - self.anchor)
         if self.aligned:
             self._probe_ancestry(self.b1, self.b2)
 
@@ -215,13 +216,12 @@ class _TwoLaneDriver:
     def _probe(self, a: NodeId, b: NodeId) -> None:
         """Probe (a, b) unless it lies outside the window of stored pairs
         (see :meth:`_probe_ancestry`)."""
-        nodes = self.tree.nodes
-        pa = nodes[a].parent
+        cum, parent = self.cum, self.parent
+        pa = parent[a]
         if b == ROOT:
             if pa != ROOT:
                 return
-        elif not 2 * nodes[pa].cum - nodes[a].cum <= \
-                nodes[nodes[b].parent].cum < nodes[a].cum:
+        elif not 2 * cum[pa] - cum[a] <= cum[parent[b]] < cum[a]:
             return
         self._lookup(a, b)
 
@@ -234,7 +234,7 @@ class _TwoLaneDriver:
         self.ledger.charge("probe", "probes", 1, timed=False)
         if w is not None:
             self.hits.add(w)
-            if self.tree.nodes[w].cum >= self.m:
+            if self.cum[w] >= self.m:
                 self.covered = True
 
     def _probe_ancestry(self, a: NodeId, b: NodeId) -> None:
@@ -265,27 +265,36 @@ class _TwoLaneDriver:
         all and a_k's at most m - cum(a_k); with the one ROOT probe and
         cum(a_(k-1)) < ceil(m/2) that is at most m + ceil(m/2) - 1 probes,
         within the 2m + 2 the harness checks."""
-        nodes = self.tree.nodes
-        low = 2 * nodes[nodes[a].parent].cum - nodes[a].cum
-        self._probe(a, ROOT)
-        while b != ROOT and nodes[nodes[b].parent].cum >= low:
-            self._probe(a, b)
-            b = nodes[b].parent
+        # _probe's window, its bounds read once for the whole walk
+        cum, parent = self.cum, self.parent
+        pa = parent[a]
+        if pa == ROOT:
+            self._lookup(a, ROOT)
+        high = cum[a]
+        low = 2 * cum[pa] - high
+        while b != ROOT:
+            pb = parent[b]
+            up = cum[pb]
+            if up < low:
+                break
+            if up < high:
+                self._lookup(a, b)
+            b = pb
 
     # -- phases -----------------------------------------------------------
 
     def _initial_phase(self) -> None:
         """Both lanes independently navigate roughly a quarter of the query,
         stopping at the last node not beyond t_init."""
-        nodes = self.tree.nodes
+        cum = self.cum
         while True:
             node = self._lane1_peek_edge()
-            if node is None or nodes[node].cum > self.t_init:
+            if node is None or cum[node] > self.t_init:
                 break
             self._lane1_advance(reconcile=False)
         while True:
             node = self._lane2_next()
-            if node is None or nodes[node].cum > self.t_init:
+            if node is None or cum[node] > self.t_init:
                 break
             self._lane2_take(node, ready=0)
         self._apply_overlap()
@@ -300,7 +309,7 @@ class _TwoLaneDriver:
             if self._lane1_peek_edge() is None:
                 raise AssertionError("both lanes stuck before covering Q")
             self._lane1_advance()
-        elif self.cum1 < self.tree.nodes[node].cum and \
+        elif self.cum1 < self.cum[node] and \
                 self._lane1_peek_edge() is not None:
             # the pair skipped by the balance condition may be exactly
             # the stored one; probe it before overtaking
@@ -322,14 +331,14 @@ class _TwoLaneDriver:
     def _promote(self, nid: NodeId) -> NodeId:
         """Shallowest ancestor-or-self still covering the whole query."""
         while True:
-            par = self.tree.nodes[nid].parent
-            if par is None or self.tree.nodes[par].cum < self.m:
+            par = self.parent[nid]
+            if par == NO_PARENT or self.cum[par] < self.m:
                 return nid
             nid = par
 
     def _finish(self) -> QueryResult:
         candidates = {self._promote(h) for h in self.hits
-                      if self.tree.nodes[h].cum >= self.m}
+                      if self.cum[h] >= self.m}
         if self.cum1 >= self.m:
             candidates.add(self._promote(self.b1))
         for cand in candidates:

@@ -50,35 +50,34 @@ def _insert_all(idx: SuffixIndex) -> None:
 
 
 def _insert_suffix(idx: SuffixIndex, s: int, e: int) -> None:
-    cur = idx.root
+    cur = ROOT
     pos = s
     while True:
-        child = idx.nodes[cur].children.get(idx.at(pos))
+        child = idx.children[cur].get(idx.at(pos))
         if child is None:
             leaf = idx.new_node(cur, e - pos + 1, s)
-            idx.nodes[leaf].ref = s
-            idx.nodes[cur].children[idx.at(pos)] = leaf
+            idx.ref[leaf] = s
+            idx.children[cur][idx.at(pos)] = leaf
             return
-        cn = idx.nodes[child]
-        lref = cn.leftmost_leaf_ref
-        j = idx.nodes[cur].cum + 1
-        while j <= cn.cum and pos <= e and idx.at(lref + j - 1) == idx.at(pos):
+        lref = idx.leftmost_leaf_ref[child]
+        j = idx.cum[cur] + 1
+        while j <= idx.cum[child] and pos <= e and \
+                idx.at(lref + j - 1) == idx.at(pos):
             j += 1
             pos += 1
-        if j > cn.cum:
+        if j > idx.cum[child]:
             assert pos <= e, "duplicate suffix during construction"
             cur = child
             continue
         assert pos <= e, "suffix is a proper edge prefix"
-        mid = idx.new_node(cur, (j - 1) - idx.nodes[cur].cum, lref)
-        mn = idx.nodes[mid]
-        idx.nodes[cur].children[idx.at(lref + idx.nodes[cur].cum)] = mid
-        cn.parent = mid
-        cn.skip = cn.cum - (j - 1)
-        mn.children[idx.at(lref + j - 1)] = child
+        mid = idx.new_node(cur, (j - 1) - idx.cum[cur], lref)
+        idx.children[cur][idx.at(lref + idx.cum[cur])] = mid
+        idx.parent[child] = mid
+        idx.skip[child] = idx.cum[child] - (j - 1)
+        idx.children[mid][idx.at(lref + j - 1)] = child
         leaf = idx.new_node(mid, e - pos + 1, s)
-        idx.nodes[leaf].ref = s
-        mn.children[idx.at(pos)] = leaf
+        idx.ref[leaf] = s
+        idx.children[mid][idx.at(pos)] = leaf
         return
 
 
@@ -88,17 +87,17 @@ def _insert_suffix(idx: SuffixIndex, s: int, e: int) -> None:
 def walk_exact(tree: SuffixIndex, start: int, length: int) -> NodeId:
     """Node whose longest string is data[start .. start+length-1] exactly."""
     cur = ROOT
-    while tree.nodes[cur].cum < length:
-        cur = tree.nodes[cur].children[tree.at(start + tree.nodes[cur].cum)]
-    assert tree.nodes[cur].cum == length
+    while tree.cum[cur] < length:
+        cur = tree.children[cur][tree.at(start + tree.cum[cur])]
+    assert tree.cum[cur] == length
     return cur
 
 
 def walk_cover(index: SuffixIndex, seq: Sequence[int]) -> NodeId:
     """First node with cumulative skip >= |seq| on seq's navigation path."""
     cur = ROOT
-    while index.nodes[cur].cum < len(seq):
-        cur = index.nodes[cur].children[seq[index.nodes[cur].cum]]
+    while index.cum[cur] < len(seq):
+        cur = index.children[cur][seq[index.cum[cur]]]
     return cur
 
 
@@ -108,52 +107,52 @@ def naive_occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
     out = []
     stack = [nid]
     while stack:
-        nd = index.nodes[stack.pop()]
-        if nd.children:
-            stack.extend(nd.children.values())
-        elif nd.ref is not None:
-            pos = index.data_pos_to_text_pos(nd.ref)
+        top = stack.pop()
+        if index.children[top]:
+            stack.extend(index.children[top].values())
+        elif index.ref[top]:
+            pos = index.data_pos_to_text_pos(index.ref[top])
             if pos <= index.text.base_len:
                 out.append(pos)
     return sorted(out)
 
 
 def naive_suffix_links(tree: SuffixIndex) -> list[NodeId]:
-    links = [ROOT] * len(tree.nodes)
-    for nid in range(1, len(tree.nodes)):
-        nd = tree.nodes[nid]
-        links[nid] = walk_exact(tree, nd.leftmost_leaf_ref + 1, nd.cum - 1)
+    links = [ROOT] * len(tree)
+    for nid in range(1, len(tree)):
+        links[nid] = walk_exact(tree, tree.leftmost_leaf_ref[nid] + 1,
+                                tree.cum[nid] - 1)
     return links
 
 
 def _label(index: SuffixIndex, nid: NodeId, length: int) -> tuple[int, ...]:
-    r = index.nodes[nid].leftmost_leaf_ref
+    r = index.leftmost_leaf_ref[nid]
     return index.data[r - 1: r - 1 + length]
 
 
 def naive_trie_dict(trie: SuffixIndex) -> PairDict:
     d = PairDict(owner=trie, target=trie)
-    for nid in range(1, len(trie.nodes)):
-        depth = trie.nodes[nid].cum
+    for nid in range(1, len(trie)):
+        depth = trie.cum[nid]
         left = (depth + 1) // 2
         a1 = nid
         for _ in range(depth - left):
-            a1 = trie.nodes[a1].parent
+            a1 = trie.parent[a1]
         d.add(a1, walk_cover(trie, _label(trie, nid, depth)[left:]), nid)
     return d
 
 
 def naive_tree_dict(tree: SuffixIndex) -> PairDict:
     d = PairDict(owner=tree, target=tree)
-    for nid in range(1, len(tree.nodes)):
+    for nid in range(1, len(tree)):
         short_len = tree.shortest_len(nid)
         half = (short_len + 1) // 2
         b1 = nid
         cur = nid
-        while cur != ROOT and tree.nodes[cur].cum >= half:
+        while cur != ROOT and tree.cum[cur] >= half:
             b1 = cur
-            cur = tree.nodes[cur].parent
-        bhat = tree.nodes[b1].cum
+            cur = tree.parent[cur]
+        bhat = tree.cum[b1]
         b2 = ROOT if bhat >= short_len else \
             walk_cover(tree, _label(tree, nid, short_len)[bhat:])
         d.add(b1, b2, nid)
@@ -163,7 +162,7 @@ def naive_tree_dict(tree: SuffixIndex) -> PairDict:
 def naive_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     d = PairDict(owner=upper.tree, target=lower.tree)
     low = lower.tree
-    for nid in range(1, len(low.nodes)):
+    for nid in range(1, len(low)):
         s = _label(low, nid, low.shortest_len(nid))
         d.add(walk_cover(upper.tree, s[0::2]), walk_cover(upper.tree, s[1::2]),
               nid)
@@ -184,7 +183,7 @@ class FullSweepDriver(_TwoLaneDriver):
     def _probe_ancestry(self, a: NodeId, b: NodeId) -> None:
         while b != ROOT:
             self._lookup(a, b)
-            b = self.tree.nodes[b].parent
+            b = self.tree.parent[b]
         self._lookup(a, ROOT)
 
 

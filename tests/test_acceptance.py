@@ -176,28 +176,27 @@ def test_criterion_5_structural_suites():
     for raw in (bytes(range(65, 65 + n)) for n in (1, 3, 7)):
         trie = build_suffix_trie(make_text(raw, 1))
         L = len(raw) + 1
-        if len(trie.nodes) - 1 != L * (L + 1) // 2:
+        if len(trie) - 1 != L * (L + 1) // 2:
             bad.append("trie equality on %r" % raw)
     for _ in range(30):
         raw = random_text(rng, rng.randrange(1, 60), rng.choice([1, 2, 4]))
         text = make_text(raw, 1)
         trie = build_suffix_trie(text)
         L = len(text.symbols)
-        if len(trie.nodes) - 1 > L * (L + 1) // 2:
+        if len(trie) - 1 > L * (L + 1) // 2:
             bad.append("trie bound on %r" % raw)
-        if len(trie.nodes) - 1 != len(distinct_substrings(text.symbols)):
+        if len(trie) - 1 != len(distinct_substrings(text.symbols)):
             bad.append("trie substring count on %r" % raw)
         tree = build_suffix_tree(text)
-        if any(not nd.is_leaf and len(nd.children) < 2
-               for nd in tree.nodes[1:]):
+        if any(kids and len(kids) < 2 for kids in tree.children[1:]):
             bad.append("tree compression on %r" % raw)
-        if len(build_tree_halving_dict(tree)) != len(tree.nodes) - 1:
+        if len(build_tree_halving_dict(tree)) != len(tree) - 1:
             bad.append("tree dict completeness on %r" % raw)
         d = build_trie_halving_dict(trie)
-        if len(d) != len(trie.nodes) - 1:
+        if len(d) != len(trie) - 1:
             bad.append("trie dict completeness on %r" % raw)
-        for (a, b), w in d.entries.items():
-            la, lb = trie.nodes[a].cum, trie.nodes[b].cum
+        for (a, b), w in d.pairs():
+            la, lb = trie.cum[a], trie.cum[b]
             if la not in (lb, lb + 1):
                 bad.append("trie dict parity on %r" % raw)
                 break
@@ -209,17 +208,17 @@ def test_criterion_5_structural_suites():
         n = len(raw)
         for k, layer in idx.layers.items():
             tree = layer.tree
-            height = max(nd.cum for nd in tree.nodes)
+            height = max(tree.cum)
             if height > -(-(n + k) // k):
                 bad.append("layer height bound on %r k=%d" % (raw, k))
-            good_leaves = sum(1 for nd in tree.nodes
-                              if nd.is_leaf and nd.ref is not None
-                              and tree.data_pos_to_text_pos(nd.ref) <= n)
+            good_leaves = sum(1 for kids, ref in zip(tree.children, tree.ref)
+                              if not kids and ref
+                              and tree.data_pos_to_text_pos(ref) <= n)
             if good_leaves != n:
                 bad.append("layer leaf equality on %r k=%d" % (raw, k))
         for upper_k, d in idx.dicts.items():
             low = d.target
-            if len(d) != len(low.nodes) - 1:
+            if len(d) != len(low) - 1:
                 bad.append("layer dict completeness %r k=%d" % (raw, upper_k))
     emit(not bad, "criterion 5: structural suites — %s" %
          ("all checks clean" if not bad else "; ".join(bad[:4])))
@@ -233,9 +232,9 @@ def test_criterion_6_golden_fixtures():
         bad.append("interleave halves")
 
     tree = build_suffix_tree(make_text(ABRA, 1))
-    if sum(nd.is_leaf for nd in tree.nodes) != 12:
+    if sum(not kids for kids in tree.children) != 12:
         bad.append("tree leaf count")
-    if len(tree.nodes[ROOT].children) != 6:
+    if len(tree.children[ROOT]) != 6:
         bad.append("root child count")
 
     trie = build_suffix_trie(make_text(ABRA, 1))
@@ -253,7 +252,7 @@ def test_criterion_6_golden_fixtures():
     up, low = idx.layers[2].tree, idx.layers[1].tree
     w = probe(idx.dicts[2], up, find_exact(up, tuple(b"A")),
               find_exact(up, tuple(b"BA")))
-    if w is None or low.nodes[w].cum != 4:
+    if w is None or low.cum[w] != 4:
         bad.append("layer dict (A,BA)")
 
     pat = Pattern.from_bytes(b"ABRA")

@@ -32,17 +32,17 @@ def test_suffix_links_golden(abra_tree, abra_anc):
 
 
 def test_link_removes_one_leading_char(abra_tree, abra_anc):
-    for nid in range(1, len(abra_tree.nodes)):
+    for nid in range(1, len(abra_tree)):
         tgt = abra_anc.suffix_link[nid]
-        assert abra_tree.nodes[tgt].cum == abra_tree.nodes[nid].cum - 1
+        assert abra_tree.cum[tgt] == abra_tree.cum[nid] - 1
         spelled = abra_tree.spelling(nid)[1:]
-        r = abra_tree.nodes[tgt].leftmost_leaf_ref
+        r = abra_tree.leftmost_leaf_ref[tgt]
         assert abra_tree.data[r - 1: r - 1 + len(spelled)] == spelled
 
 
 def test_depth_equals_cum(abra_tree, abra_anc):
-    for nid in range(len(abra_tree.nodes)):
-        assert abra_anc.depth(nid) == abra_tree.nodes[nid].cum
+    for nid in range(len(abra_tree)):
+        assert abra_anc.depth(nid) == abra_tree.cum[nid]
 
 
 def test_level_ancestor_matches_naive_walk():
@@ -51,8 +51,8 @@ def test_level_ancestor_matches_naive_walk():
         raw = random_text(rng, rng.randrange(2, 60), rng.choice([1, 2, 3]))
         tree = build_suffix_tree(make_text(raw, 1))
         anc = build_ancestry(tree)
-        for nid in range(len(tree.nodes)):
-            depth = tree.nodes[nid].cum
+        for nid in range(len(tree)):
+            depth = tree.cum[nid]
             for d in range(depth + 1):
                 assert level_ancestor_sl(anc, nid, d) == \
                     naive_links(anc, nid, d)
@@ -74,20 +74,20 @@ def test_level_ancestor_of_internal_node_is_internal(raw, loaded):
     tree = load_container(dump_container(cont)).index if loaded \
         else cont.index
     anc = build_ancestry(tree)
-    nodes = tree.nodes
-    for nid, nd in enumerate(nodes):
-        if not nd.children:
+    for nid, children in enumerate(tree.children):
+        if not children:
             continue
-        for d in range(1, nd.cum):
-            got = nodes[level_ancestor_sl(anc, nid, d)]
-            assert got.children and got.cum == nd.cum - d, (nid, d)
+        for d in range(1, tree.cum[nid]):
+            got = level_ancestor_sl(anc, nid, d)
+            assert tree.children[got] and \
+                tree.cum[got] == tree.cum[nid] - d, (nid, d)
 
 
 def test_relabelled_edge_has_no_suffix_link():
     """abab's tree with the root's edge for 'b' relabelled 'c' (the edit
     the loader now rejects in a container): "ab" has no link target."""
     tree = build_suffix_tree(make_text(b"abab", 1))
-    children = tree.nodes[ROOT].children
+    children = tree.children[ROOT]
     children[ord("c")] = children.pop(ord("b"))
     with pytest.raises(AncestryError, match="suffix link"):
         build_ancestry(tree)

@@ -40,10 +40,12 @@ IDS = [name for name, _ in TEXTS]
 
 
 def assert_same_nodes(got, want):
-    assert len(got.nodes) == len(want.nodes)
-    for nid, (a, b) in enumerate(zip(got.nodes, want.nodes)):
-        assert (a.parent, a.skip, a.ref, a.children) == \
-            (b.parent, b.skip, b.ref, b.children), "node %d" % nid
+    assert len(got) == len(want)
+    for nid in range(len(got)):
+        assert (got.parent[nid], got.skip[nid], got.ref[nid],
+                got.children[nid]) == \
+            (want.parent[nid], want.skip[nid], want.ref[nid],
+             want.children[nid]), "node %d" % nid
 
 
 @pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
@@ -51,8 +53,9 @@ def test_tree_matches_oracle(raw):
     tree = build_suffix_tree(make_text(raw, 1))
     oracle = naive_suffix_tree(make_text(raw, 1))
     assert_same_nodes(tree, oracle)
-    assert suffix_links(tree) == naive_suffix_links(oracle)
-    assert build_ancestry(tree).suffix_link == naive_suffix_links(oracle)
+    assert list(suffix_links(tree)) == naive_suffix_links(oracle)
+    assert list(build_ancestry(tree).suffix_link) == \
+        naive_suffix_links(oracle)
     want_dict = naive_tree_dict(oracle)
     assert build_tree_halving_dict(tree).entries == want_dict.entries
     assert dump_container(build_container(raw, "tree")) == \
@@ -74,7 +77,8 @@ def test_layers_match_oracle(raw):
     for k in (1, 2, 4, 8):
         tree = got.layers[k].tree
         assert_same_nodes(tree, want.layers[k].tree)
-        assert suffix_links(tree) == naive_suffix_links(want.layers[k].tree)
+        assert list(suffix_links(tree)) == \
+            naive_suffix_links(want.layers[k].tree)
     for k in (2, 4, 8):
         assert got.dicts[k].entries == want.dicts[k].entries
     assert dump_container(Container("interleaved", raw, 8, layered=got)) == \
@@ -88,17 +92,18 @@ def assert_finalized(index, n):
     lo, hi = index.leaf_lo, index.leaf_hi
     assert sorted(index.leaf_pos[lo[ROOT]:hi[ROOT]]) == list(range(1, n + 1))
     tail = 0
-    for nid, nd in enumerate(index.nodes):
-        assert list(nd.children) == sorted(nd.children), nid
-        assert nd.children or nd.children is NO_CHILDREN, nid
-        first = nd
-        while first.children:
-            first = index.nodes[next(iter(first.children.values()))]
-        assert nd.leftmost_leaf_ref == first.ref, nid
+    for nid, children in enumerate(index.children):
+        assert list(children) == sorted(children), nid
+        assert children or children is NO_CHILDREN, nid
+        first = nid
+        while index.children[first]:
+            first = next(iter(index.children[first].values()))
+        assert index.leftmost_leaf_ref[nid] == index.ref[first], nid
         assert occurrences(index, nid) == naive_occurrences(index, nid), nid
-        for child in nd.children.values():
+        for child in children.values():
             assert lo[nid] <= lo[child] <= hi[child] <= hi[nid], (nid, child)
-        if not nd.children and index.data_pos_to_text_pos(nd.ref) > n:
+        if not children and \
+                index.data_pos_to_text_pos(index.ref[nid]) > n:
             assert lo[nid] == hi[nid], nid          # delimiter-tail leaf
             tail += 1
     assert tail == len(index.text) - n

@@ -8,6 +8,7 @@ from parsuffix import (ROOT, build_suffix_tree, build_suffix_trie,
                        build_tree_halving_dict, build_trie_halving_dict,
                        make_text, probe)
 from parsuffix.halving import PairDict, PairDictError
+from parsuffix.suffixindex import NO_PARENT
 
 from conftest import find_node, random_text
 
@@ -20,15 +21,15 @@ def test_trie_dict_golden(abra_trie, abra_trie_dict):
 
 
 def test_trie_dict_one_entry_per_node(abra_trie, abra_trie_dict):
-    assert len(abra_trie_dict) == len(abra_trie.nodes) - 1
+    assert len(abra_trie_dict) == len(abra_trie) - 1
 
 
 def test_trie_dict_parity(abra_trie, abra_trie_dict):
     """Halving split: left half length in {right, right + 1}."""
-    for (a, b), w in abra_trie_dict.entries.items():
-        la = abra_trie.nodes[a].cum
-        lb = abra_trie.nodes[b].cum
-        assert la + lb == abra_trie.nodes[w].cum
+    for (a, b), w in abra_trie_dict.pairs():
+        la = abra_trie.cum[a]
+        lb = abra_trie.cum[b]
+        assert la + lb == abra_trie.cum[w]
         assert la in (lb, lb + 1)
 
 
@@ -39,7 +40,7 @@ def test_tree_dict_golden(abra_tree, abra_tree_dict):
 
 
 def test_tree_dict_one_entry_per_node(abra_tree, abra_tree_dict):
-    assert len(abra_tree_dict) == len(abra_tree.nodes) - 1
+    assert len(abra_tree_dict) == len(abra_tree) - 1
 
 
 def test_tree_dict_pairs_cover_shortest_string():
@@ -50,18 +51,18 @@ def test_tree_dict_pairs_cover_shortest_string():
         raw = random_text(rng, rng.randrange(2, 70), rng.choice([1, 2, 3]))
         tree = build_suffix_tree(make_text(raw, 1))
         d = build_tree_halving_dict(tree)
-        stored = {w: (a, b) for (a, b), w in d.entries.items()}
-        for nid in range(1, len(tree.nodes)):
+        stored = {w: (a, b) for (a, b), w in d.pairs()}
+        for nid in range(1, len(tree)):
             a, b = stored[nid]
             short_len = tree.shortest_len(nid)
             half = (short_len + 1) // 2
-            assert tree.nodes[a].cum >= half
-            parent = tree.nodes[a].parent
-            assert parent is None or tree.nodes[parent].cum < half
-            if tree.nodes[a].cum >= short_len:
+            assert tree.cum[a] >= half
+            parent = tree.parent[a]
+            assert parent == NO_PARENT or tree.cum[parent] < half
+            if tree.cum[a] >= short_len:
                 assert b == ROOT
             else:
-                assert tree.nodes[b].cum >= short_len - tree.nodes[a].cum
+                assert tree.cum[b] >= short_len - tree.cum[a]
 
 
 def test_probe_foreign_index_rejected(abra_trie, abra_tree, abra_trie_dict):
@@ -84,4 +85,4 @@ def test_trie_dict_probes_reconstruct_every_node():
         trie = build_suffix_trie(make_text(raw, 1))
         d = build_trie_halving_dict(trie)
         hit = {w for w in d.entries.values()}
-        assert hit == set(range(1, len(trie.nodes)))
+        assert hit == set(range(1, len(trie)))

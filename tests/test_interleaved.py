@@ -18,9 +18,8 @@ from conftest import ABRA, find_exact, naive_positions, random_text
 
 
 def node_label(tree, nid):
-    nd = tree.nodes[nid]
-    r = nd.leftmost_leaf_ref
-    return tree.data[r - 1: r - 1 + nd.cum]
+    r = tree.leftmost_leaf_ref[nid]
+    return tree.data[r - 1: r - 1 + tree.cum[nid]]
 
 
 def test_layer2_subsequences():
@@ -36,9 +35,9 @@ def test_nondelimiter_leaf_equality():
     n = len(ABRA)
     for k in (1, 2, 4, 8):
         tree = build_layer(ABRA, k).tree
-        good = sum(1 for nd in tree.nodes
-                   if nd.is_leaf and nd.ref is not None
-                   and tree.data_pos_to_text_pos(nd.ref) <= n)
+        good = sum(1 for children, ref in zip(tree.children, tree.ref)
+                   if not children and ref
+                   and tree.data_pos_to_text_pos(ref) <= n)
         assert good == n, k
 
 
@@ -47,7 +46,7 @@ def test_layer_height_bound():
         n = len(raw)
         for k in (1, 2, 4, 8):
             tree = build_layer(raw, k).tree
-            height = max(nd.cum for nd in tree.nodes)
+            height = max(tree.cum)
             assert height <= -(-(n + k) // k), (raw, k)
 
 
@@ -56,18 +55,18 @@ def test_split_parity_of_layer_dict():
     for upper_k, d in idx.dicts.items():
         up = idx.layers[upper_k].tree
         low = d.target
-        stored = {w: (a, b) for (a, b), w in d.entries.items()}
-        for nid in range(1, len(low.nodes)):
+        stored = {w: (a, b) for (a, b), w in d.pairs()}
+        for nid in range(1, len(low)):
             a, b = stored[nid]
             short_len = low.shortest_len(nid)
             l1, l2 = (short_len + 1) // 2, short_len // 2
             # the stored nodes cover the halves: cum >= half length and the
             # parent (if any) falls short
             for node, need in ((a, l1), (b, l2)):
-                assert up.nodes[node].cum >= need
+                assert up.cum[node] >= need
                 if node != ROOT:
-                    parent = up.nodes[node].parent
-                    assert up.nodes[parent].cum < need
+                    parent = up.parent[node]
+                    assert up.cum[parent] < need
 
 
 def test_layer_dict_golden():
@@ -80,7 +79,7 @@ def test_layer_dict_golden():
     assert bytes(node_label(low, abra)) == b"ABRA"
     # the one-char lower node "A" pairs the upper "A" with the root
     assert probe(idx.dicts[2], up, a, ROOT) is not None
-    assert len(idx.dicts[2]) == len(low.nodes) - 1
+    assert len(idx.dicts[2]) == len(low) - 1
 
 
 def test_dict_requires_adjacent_layers():

@@ -1,7 +1,9 @@
 """Binary container round-trips."""
 
+import hashlib
 import random
 import struct
+import time
 
 import pytest
 
@@ -12,18 +14,19 @@ from parsuffix import (ALGORITHMS, Container, ContainerError, StepLedger,
                        par_query_trie, save_file, seq_query)
 from parsuffix.ancestry import AncestryError
 from parsuffix.lanes import seq_map
+from parsuffix.suffixindex import NO_PARENT
 from parsuffix.textmodel import Pattern
 
-from conftest import ABRA, naive_positions
+from conftest import ABRA, fibonacci_text, naive_positions
 
 
 def same_nodes(a, b):
-    assert len(a.nodes) == len(b.nodes)
-    for n1, n2 in zip(a.nodes, b.nodes):
-        assert (n1.parent, n1.skip, n1.cum, n1.ref, n1.children,
-                n1.leftmost_leaf_ref) == \
-               (n2.parent, n2.skip, n2.cum, n2.ref, n2.children,
-                n2.leftmost_leaf_ref)
+    assert len(a) == len(b)
+    for nid in range(len(a)):
+        assert (a.parent[nid], a.skip[nid], a.cum[nid], a.ref[nid],
+                a.children[nid], a.leftmost_leaf_ref[nid]) == \
+               (b.parent[nid], b.skip[nid], b.cum[nid], b.ref[nid],
+                b.children[nid], b.leftmost_leaf_ref[nid])
 
 
 @pytest.mark.parametrize("kind,p", [("trie", 1), ("tree", 1),
@@ -79,6 +82,47 @@ def test_truncation_detected():
         load_container(blob[:-2])
 
 
+@pytest.mark.parametrize("kind,p", [("tree", 1), ("trie", 1),
+                                    ("interleaved", 4)])
+def test_every_truncation_rejected(kind, p):
+    """Every proper prefix of a container is a ``ContainerError``, cut in
+    the header, the text, a node record, a child list or a dictionary
+    block; the three containers take about 5 s together."""
+    blob = dump_container(build_container(fibonacci_text(40), kind, p))
+    t0 = time.perf_counter()
+    for cut in range(len(blob)):
+        with pytest.raises(ContainerError):
+            load_container(blob[:cut])
+    assert time.perf_counter() - t0 < 30.0
+
+
+# SHA-256 of dump_container, pinned before the nodes moved from one
+# object each into per-field arrays: container v1 and node ids survive.
+GOLDEN_SHA256 = {
+    ("abra", "tree"):
+        "056b184963a68bcd3ed4969b9426d960f9a9114a76157d584dbfe29513fb07e0",
+    ("abra", "trie"):
+        "74efc6da61aed63d16a59083d60e3085eab3ba17e5d97497a4d353d32840e169",
+    ("abra", "interleaved"):
+        "3c36b9232d7a17fff300cbc7c5b8edbd79f7d223a686aa613b1cb2cc07f63627",
+    ("fibonacci-300", "tree"):
+        "e1fd84654b5833655349640e451bb96accd62df4952ff8bb0fa04cc33d2744e1",
+    ("fibonacci-300", "trie"):
+        "1ac0d1762e390c5576238426975014a7da942f9d91b21aeb6cbcc07464fe83e6",
+    ("fibonacci-300", "interleaved"):
+        "5c129346c562dee528ad0401079a62d161f4daa29c0e2c531ba5ceede2851405",
+}
+
+
+@pytest.mark.parametrize("text,kind", sorted(GOLDEN_SHA256))
+def test_container_bytes_golden(text, kind):
+    raw = ABRA if text == "abra" else fibonacci_text(300)
+    cont = build_container(raw, kind, 4 if kind == "interleaved" else 1)
+    blob = dump_container(cont)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[text, kind]
+    assert dump_container(load_container(blob)) == blob
+
+
 def test_unknown_kind_and_version():
     blob = bytearray(dump_container(build_container(b"AB", "tree")))
     blob[4] = 99                                   # version byte
@@ -88,6 +132,21 @@ def test_unknown_kind_and_version():
     blob[5] = 7                                    # kind byte
     with pytest.raises(ContainerError):
         load_container(bytes(blob))
+
+
+def test_header_p_checked():
+    """p is 1 for a trie or tree and a power of two for an interleaved
+    index.  A loader that took p = 6 kept layers 1, 2 and 4 with
+    ``Container.p == 6``, and one that took a tree with p = 1000 kept
+    ``p == 1000``."""
+    ilv = bytearray(dump_container(build_container(ABRA, "interleaved", 4)))
+    tree = bytearray(dump_container(build_container(ABRA, "tree")))
+    load_container(bytes(ilv))
+    load_container(bytes(tree))
+    with pytest.raises(ContainerError, match="p = 6"):
+        load_container(patched(ilv, 6, "<I", 6))
+    with pytest.raises(ContainerError, match="p = 1000"):
+        load_container(patched(tree, 6, "<I", 1000))
 
 
 def test_container_kind_validation():
@@ -155,21 +214,23 @@ def test_tree_missing_a_suffix_rejected():
     every structural check passes, and a loader that took it answered
     ABRA with (8,) where the text has (1, 8)."""
     cont = build_container(ABRA, "tree")
-    nodes = cont.index.nodes
-    gone = next(nid for nid, nd in enumerate(nodes)
-                if not nd.children and nd.ref == 1)
+    index = cont.index
+    gone = next(nid for nid, children in enumerate(index.children)
+                if not children and index.ref[nid] == 1)
 
     def renum(nid):
         return nid - (nid > gone)
 
-    for nd in nodes:
-        nd.children = {sym: renum(c) for sym, c in nd.children.items()
-                       if c != gone}
-        if nd.parent is not None:
-            nd.parent = renum(nd.parent)
-    del nodes[gone]
-    cont.dct.entries = {(renum(a), renum(b)): renum(w)
-                        for (a, b), w in cont.dct.entries.items()
+    for nid, children in enumerate(index.children):
+        index.children[nid] = {sym: renum(c) for sym, c in children.items()
+                               if c != gone}
+        if index.parent[nid] != NO_PARENT:
+            index.parent[nid] = renum(index.parent[nid])
+    for field in (index.parent, index.skip, index.cum, index.ref,
+                  index.leftmost_leaf_ref, index.children):
+        del field[gone]
+    cont.dct.entries = {renum(a) << 32 | renum(b): renum(w)
+                        for (a, b), w in cont.dct.pairs()
                         if gone not in (a, b, w)}
     with pytest.raises(ContainerError, match="suffixes"):
         load_container(dump_container(cont))
@@ -198,7 +259,7 @@ def test_layer_block_with_wrong_stride_rejected(k, stride):
 def _dict_triples(blob, cont):
     """Byte offset of the tree or trie container's first dictionary
     triple."""
-    return len(blob) - 12 * len(cont.dct.entries)
+    return len(blob) - 12 * len(cont.dct)
 
 
 def test_repeated_dictionary_key_rejected():
@@ -273,7 +334,7 @@ def test_single_byte_changes_rejected_or_harmless(kind, p):
     blocks = 4 + 14 + len(FLIP_TEXT)
     # an index block: stride and count, then 14 bytes per node and 6 per
     # child entry, one entry per non-root node
-    end = blocks + sum(8 + 20 * len(t.nodes) - 6 for t in trees)
+    end = blocks + sum(8 + 20 * len(t) - 6 for t in trees)
     offsets = list(range(4, 18)) + list(range(blocks, end))
     rng = random.Random(9)
     for _ in range(300):

@@ -1,14 +1,18 @@
 """Suffix trie/tree construction, navigation, and reporting."""
 
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsuffix import (ROOT, build_suffix_tree, build_suffix_trie, descend,
-                       make_text, navigate, occurrences, verify_against_text)
+from parsuffix import (ROOT, build_ancestry, build_suffix_tree,
+                       build_suffix_trie, build_tree_halving_dict, descend,
+                       dump_container, load_container, make_text, navigate,
+                       occurrences, verify_against_text)
 from parsuffix.interleaved import build_layer
+from parsuffix.serial import Container
 from parsuffix.suffixindex import NavStatus
 from parsuffix.textmodel import Pattern, interleave
 
@@ -19,54 +23,54 @@ from conftest import (ABRA, distinct_substrings, find_exact, find_node,
 def test_trie_node_count_small():
     # "AB$": root + {A, AB, AB$, B, B$, $}
     trie = build_suffix_trie(make_text(b"AB", 1))
-    assert len(trie.nodes) == 7
+    assert len(trie) == 7
     trie = build_suffix_trie(make_text(b"", 1))
-    assert len(trie.nodes) == 2       # root + delimiter leaf
+    assert len(trie) == 2       # root + delimiter leaf
 
 
 def test_trie_counts_distinct_substrings(abra_text, abra_trie):
-    assert len(abra_trie.nodes) == 1 + len(distinct_substrings(
+    assert len(abra_trie) == 1 + len(distinct_substrings(
         abra_text.symbols))
-    assert all(nd.skip == 1 for nd in abra_trie.nodes[1:])
+    assert all(skip == 1 for skip in abra_trie.skip[1:])
 
 
 def test_tree_golden_shape(abra_tree):
-    leaves = [nd for nd in abra_tree.nodes if nd.is_leaf]
+    leaves = [kids for kids in abra_tree.children if not kids]
     assert len(leaves) == 12
-    assert len(abra_tree.nodes[ROOT].children) == 6
-    internal = [nid for nid in range(1, len(abra_tree.nodes))
-                if not abra_tree.nodes[nid].is_leaf]
-    labels = {bytes(abra_tree.data[abra_tree.nodes[n].leftmost_leaf_ref - 1:
-                                   abra_tree.nodes[n].leftmost_leaf_ref - 1 +
-                                   abra_tree.nodes[n].cum])
+    assert len(abra_tree.children[ROOT]) == 6
+    internal = [nid for nid in range(1, len(abra_tree))
+                if abra_tree.children[nid]]
+    labels = {bytes(abra_tree.data[abra_tree.leftmost_leaf_ref[n] - 1:
+                                   abra_tree.leftmost_leaf_ref[n] - 1 +
+                                   abra_tree.cum[n]])
               for n in internal}
     assert labels == {b"A", b"ABRA", b"BRA", b"RA"}
-    assert len(abra_tree.nodes) == 17
+    assert len(abra_tree) == 17
 
 
 def test_tree_unary_chain():
     tree = build_suffix_tree(make_text(b"AAAA", 1))
-    leaves = sum(nd.is_leaf for nd in tree.nodes)
+    leaves = sum(not kids for kids in tree.children)
     assert leaves == 5
-    internal = [nd for nd in tree.nodes[1:] if not nd.is_leaf]
-    assert sorted(nd.cum for nd in internal) == [1, 2, 3]
-    assert all(len(nd.children) == 2 for nd in internal)
+    internal = [nid for nid in range(1, len(tree)) if tree.children[nid]]
+    assert sorted(tree.cum[nid] for nid in internal) == [1, 2, 3]
+    assert all(len(tree.children[nid]) == 2 for nid in internal)
 
 
 def test_tree_single_symbol():
     tree = build_suffix_tree(make_text(b"", 1))
-    assert len(tree.nodes) == 2
+    assert len(tree) == 2
 
 
 def test_navigate_golden(abra_tree):
     out = navigate(abra_tree, Pattern.from_bytes(b"ABRA"))
     assert out.status is NavStatus.FULL_MATCH
-    assert abra_tree.nodes[out.node].cum == 4
+    assert abra_tree.cum[out.node] == 4
     assert occurrences(abra_tree, out.node) == [1, 8]
 
     out = navigate(abra_tree, Pattern.from_bytes(b"ABRAC"))
     assert out.status is NavStatus.FULL_MATCH
-    assert abra_tree.nodes[out.node].cum == 12     # leaf overshoot
+    assert abra_tree.cum[out.node] == 12     # leaf overshoot
     assert occurrences(abra_tree, out.node) == [1]
 
     # patricia semantics: "ABX" blind-matches to the ABRA node (X is never
@@ -105,16 +109,15 @@ def test_suffix_completeness(abra_tree, abra_trie):
     for index in (abra_tree, abra_trie):
         for i in range(1, len(ABRA) + 1):
             node = find_exact(index, index.text.symbols[i - 1:])
-            assert node is not None and index.nodes[node].ref == i
+            assert node is not None and index.ref[node] == i
 
 
 def test_label_soundness(abra_tree):
-    for nid in range(len(abra_tree.nodes)):
-        nd = abra_tree.nodes[nid]
-        r = nd.leftmost_leaf_ref
-        spelled = abra_tree.data[r - 1: r - 1 + nd.cum]
+    for nid in range(len(abra_tree)):
+        r = abra_tree.leftmost_leaf_ref[nid]
+        spelled = abra_tree.data[r - 1: r - 1 + abra_tree.cum[nid]]
         walked = find_exact(abra_tree, spelled)
-        assert walked == nid or nd.cum == 0
+        assert walked == nid or abra_tree.cum[nid] == 0
 
 
 def test_tree_compression_property():
@@ -122,18 +125,19 @@ def test_tree_compression_property():
     for _ in range(25):
         raw = random_text(rng, rng.randrange(1, 80), rng.choice([1, 2, 4]))
         tree = build_suffix_tree(make_text(raw, 1))
-        for nd in tree.nodes[1:]:
-            assert nd.is_leaf or len(nd.children) >= 2
-        assert sum(nd.is_leaf for nd in tree.nodes) == len(raw) + 1
+        for kids in tree.children[1:]:
+            assert not kids or len(kids) >= 2
+        assert sum(not kids for kids in tree.children) == len(raw) + 1
 
 
 def test_generalized_tree_leaf_positions():
     layer = build_layer(ABRA, 4).tree
     subs = interleave(make_text(ABRA, 4).symbols, 4)
-    assert sum(nd.is_leaf for nd in layer.nodes) == sum(len(s) for s in subs)
-    for nd in layer.nodes:
-        if nd.is_leaf and nd.ref is not None:
-            pos = layer.data_pos_to_text_pos(nd.ref)
+    assert sum(not kids for kids in layer.children) == \
+        sum(len(s) for s in subs)
+    for kids, ref in zip(layer.children, layer.ref):
+        if not kids and ref:
+            pos = layer.data_pos_to_text_pos(ref)
             # leaf of subsequence i starts at text position ≡ i (mod 4)
             assert 1 <= pos <= len(make_text(ABRA, 4).symbols)
 
@@ -170,3 +174,28 @@ def test_sequential_equivalence_hypothesis(raw, pat):
 def test_navigate_rejects_empty_pattern(abra_tree):
     with pytest.raises(ValueError):
         Pattern.from_bytes(b"")
+
+
+def test_index_holds_a_few_collector_objects():
+    """The node store is a few arrays and one list of int-only child
+    dicts, which CPython's collector does not track: building a tree with
+    its ancestry and halving dictionary, and loading its container, each
+    leave a handful of tracked objects, not one per node (a tree of 4000
+    chars has about 8000 nodes)."""
+    raw = random_text(random.Random(4), 4000, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tree = build_suffix_tree(make_text(raw, 1))
+        build_ancestry(tree)
+        dct = build_tree_halving_dict(tree)
+        built = len(gc.get_objects()) - before
+        blob = dump_container(Container("tree", raw, 1, tree, dct))
+        before = len(gc.get_objects())
+        loaded = load_container(blob)
+        loaded_objects = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert len(tree) > 7000 and len(loaded.index) == len(tree)
+    assert built < 100 and loaded_objects < 100, (built, loaded_objects)
