@@ -55,10 +55,10 @@ class PairDict:
         return len(self.entries)
 
 
-def probe(d: PairDict, index: SuffixIndex, a: NodeId, b: NodeId) -> Optional[NodeId]:
-    """Look up the ordered pair (a, b); None when absent."""
-    if index is not d.owner:
-        raise PairDictError("probe with nodes from a foreign index")
+def probe(d: PairDict, a: NodeId, b: NodeId) -> Optional[NodeId]:
+    """Look up the ordered pair (a, b) of ``d.owner``'s nodes; None when
+    absent.  Callers check the owner once: trie-par and tree-par2 at
+    entry, and interleaved probes only its own layers' dictionaries."""
     return d.entries.get(a << 32 | b)
 
 

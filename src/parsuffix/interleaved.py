@@ -43,9 +43,6 @@ class LayeredIndex:
         self.layers: dict[int, LayerIndex] = {}
         self.dicts: dict[int, PairDict] = {}   # keyed by the upper layer's k
 
-    def layer(self, k: int) -> LayerIndex:
-        return self.layers[k]
-
 
 def build_layer(raw: bytes | Sequence[int], k: int) -> LayerIndex:
     """Generalized suffix tree over the k interleaved subsequences of the
@@ -64,7 +61,9 @@ def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     two stride-doubled halves, covered by upper-layer nodes.
 
     A node's halves extend its parent's, so each node resumes the two
-    upper-layer walks from its parent's cover nodes (parents first).
+    upper-layer walks from its parent's cover nodes.  Every edge has skip
+    >= 1 (the builders and the loader require it), so visiting nodes by
+    cumulative skip puts each parent before its children.
     """
     if upper.k != 2 * lower.k:
         raise ParameterError("layer dict needs strides k and k/2")
@@ -72,7 +71,7 @@ def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     cum, skip = low.cum, low.skip
     even_cover = array("i", [ROOT]) * len(low)
     odd_cover = array("i", even_cover)
-    for nid in low._topo_order()[1:]:
+    for nid in sorted(range(1, len(low)), key=cum.__getitem__):
         short_len = cum[nid] - skip[nid] + 1
         first = low.leftmost_leaf_ref[nid] - 1  # data[first + i]: symbol i
         par = low.parent[nid]
@@ -113,12 +112,10 @@ def build_layered_index(raw: bytes, p: int) -> LayeredIndex:
     return idx
 
 
-def deinterleave_paths(path1: NavPath, path2: NavPath, dct: PairDict,
-                       ledger: Optional[StepLedger] = None,
-                       lane: str = "merge") -> tuple[NavPath, int]:
+def deinterleave_paths(path1: NavPath, path2: NavPath,
+                       dct: PairDict) -> tuple[NavPath, int]:
     """Two-pointer merge of two upper-layer paths into the lower-layer path
-    of their deinterleaving; returns it with the number of probes made,
-    which are also charged to ``ledger`` when one is given.
+    of their deinterleaving; returns it with the number of probes made.
 
     A stored pair for a lower node whose shortest string has length l pairs
     the path-1 node covering ceil(l/2) with the path-2 node covering
@@ -138,13 +135,11 @@ def deinterleave_paths(path1: NavPath, path2: NavPath, dct: PairDict,
             i += 1
         else:
             j += 1
-        w = probe(dct, dct.owner, path1[i][0], path2[j][0])
+        w = probe(dct, path1[i][0], path2[j][0])
         if w is not None:
             hits[w] = lower.cum[w]
-    probes = i + j                     # one per pointer advance
-    if ledger is not None and probes:
-        ledger.charge(lane, "probes", probes, timed=False)
-    return sorted(hits.items(), key=lambda item: item[1]), probes
+    # one probe per pointer advance
+    return sorted(hits.items(), key=lambda item: item[1]), i + j
 
 
 def _sub_len(m: int, i: int, k: int) -> int:
@@ -205,7 +200,7 @@ def par_query_interleaved(index: LayeredIndex, pat: Pattern, j: int,
     if not is_pow2(j) or j > index.p:
         raise ParameterError("j must be a power of two with j <= p")
     ledger = ledger if ledger is not None else StepLedger()
-    top = index.layer(j).tree
+    top = index.layers[j].tree
     navs = mapper(lambda sub: descend(top, sub),
                   [pat.chars[i::j] for i in range(j)])
     nav_ready = 0
@@ -222,7 +217,7 @@ def par_query_interleaved(index: LayeredIndex, pat: Pattern, j: int,
     node, cum = final[-1]
     if node == ROOT or cum < pat.m:
         return EMPTY
-    tree = index.layer(1).tree
+    tree = index.layers[1].tree
     ledger.charge("verify", "compares", pat.m, timed=False)
     if not verify_against_text(tree, node, pat):
         return EMPTY

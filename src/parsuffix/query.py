@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ledger import StepLedger
-from .suffixindex import (NavStatus, NodeId, SuffixIndex, navigate,
-                          occurrences, verify_against_text)
+from .suffixindex import (NodeId, SuffixIndex, navigate, occurrences,
+                          verify_against_text)
 from .textmodel import Pattern
 
 
@@ -29,12 +29,12 @@ def seq_query(index: SuffixIndex, pat: Pattern,
     """One-lane patricia query: navigate, verify skipped characters
     (trees only; trie navigation is exact), report occurrences."""
     ledger = ledger if ledger is not None else StepLedger()
-    out = navigate(index, pat)
-    ledger.charge("seq", "nav_chars", min(out.matched, pat.m) or 1)
-    if out.status is not NavStatus.FULL_MATCH:
+    node, cum, covered = navigate(index, pat.chars)
+    ledger.charge("seq", "nav_chars", min(cum, pat.m) or 1)
+    if not covered:
         return EMPTY
     if index.kind == "tree":
         ledger.charge("seq", "compares", pat.m)
-        if not verify_against_text(index, out.node, pat):
+        if not verify_against_text(index, node, pat):
             return EMPTY
-    return QueryResult(tuple(occurrences(index, out.node)), out.node)
+    return QueryResult(tuple(occurrences(index, node)), node)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -37,18 +35,6 @@ ROOT: NodeId = 0
 NO_PARENT = -1                   # the root's parent
 # the child map every leaf of a finalized index shares
 NO_CHILDREN = MappingProxyType({})
-
-
-class NavStatus(Enum):
-    FULL_MATCH = "full-match"
-    FELL_OFF = "fell-off"
-
-
-@dataclass(frozen=True)
-class NavOutcome:
-    node: NodeId
-    matched: int
-    status: NavStatus
 
 
 class SuffixIndex:
@@ -183,15 +169,6 @@ class SuffixIndex:
                 lref[up] = lref[nid]
             pending.clear()
         self.leaf_pos, self.leaf_lo, self.leaf_hi = pos, lo, hi
-
-    def _topo_order(self) -> list[NodeId]:
-        order: list[NodeId] = []
-        stack = [ROOT]
-        while stack:
-            nid = stack.pop()
-            order.append(nid)
-            stack.extend(self.children[nid].values())
-        return order
 
 
 # -- construction ------------------------------------------------------
@@ -332,7 +309,8 @@ def descend(index: SuffixIndex, seq: Sequence[int]
 
     Returns the path as (node, cumulative skip) pairs, root included, and
     whether its last node covers ``seq``; False means the walk fell off
-    there.  Skipped symbols are not compared: callers verify them."""
+    there.  Skipped symbols are not compared: callers verify them.  For
+    callers that read the whole path; :func:`navigate` keeps only its end."""
     children = index.children
     cums = index.cum
     m = len(seq)
@@ -348,13 +326,21 @@ def descend(index: SuffixIndex, seq: Sequence[int]
     return path, True
 
 
-def navigate(index: SuffixIndex, pat: Pattern) -> NavOutcome:
-    """Patricia navigation: the end of :func:`descend` as an outcome."""
-    path, covered = descend(index, pat.chars)
-    node, cum = path[-1]
-    if covered:
-        return NavOutcome(node, pat.m, NavStatus.FULL_MATCH)
-    return NavOutcome(node, cum, NavStatus.FELL_OFF)
+def navigate(index: SuffixIndex, seq: Sequence[int]
+             ) -> tuple[NodeId, int, bool]:
+    """The end of :func:`descend`'s walk, recording no path: the last node
+    reached, its cumulative skip, and whether it covers ``seq``."""
+    children = index.children
+    cums = index.cum
+    m = len(seq)
+    cur, cum = ROOT, 0
+    while cum < m:
+        nxt = children[cur].get(seq[cum])
+        if nxt is None:
+            return cur, cum, False
+        cur = nxt
+        cum = cums[cur]
+    return cur, cum, True
 
 
 def occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:

@@ -230,7 +230,7 @@ class _TwoLaneDriver:
         if (a, b) in self.probed:
             return
         self.probed.add((a, b))
-        w = probe(self.dct, self.tree, a, b)
+        w = probe(self.dct, a, b)
         self.ledger.charge("probe", "probes", 1, timed=False)
         if w is not None:
             self.hits.add(w)
@@ -379,9 +379,10 @@ class _TwoLaneDriver:
 def par_query_tree2(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                     pat: Pattern, ledger: Optional[StepLedger] = None,
                     mapper: Mapper = seq_map) -> QueryResult:
-    """Two-lane suffix-tree query.  ``mapper`` runs lane 1's walk; the
+    """Two-lane suffix-tree query over ``anc = build_ancestry(tree)`` and
+    the tree's halving dictionary.  ``mapper`` runs lane 1's walk; the
     probe sweep runs in the calling thread and charges ``ledger``."""
-    _check_args(tree, dct, pat)
+    _check_args(tree, anc, dct, pat)
     ledger = ledger if ledger is not None else StepLedger()
     [lane1] = mapper(lambda sub: descend(tree, sub),
                      [pat.chars[:(pat.m + 1) // 2]])
@@ -394,9 +395,12 @@ def par_query_tree2_threaded(tree: SuffixIndex, anc: AncestryIndex,
     return par_query_tree2(tree, anc, dct, pat, None, thread_map)
 
 
-def _check_args(tree: SuffixIndex, dct: PairDict, pat: Pattern) -> None:
+def _check_args(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
+                pat: Pattern) -> None:
     if tree.kind != "tree":
         raise ParameterError("par_query_tree2 requires a suffix tree")
+    if anc is not tree.ancestry:
+        raise ParameterError("ancestry was built from a different tree")
     if dct.owner is not tree:
         raise ParameterError("dictionary was built from a different index")
     if pat.m < 2:

@@ -17,7 +17,7 @@ from .halving import PairDict, probe
 from .lanes import Mapper, is_pow2, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
-from .suffixindex import ROOT, NodeId, SuffixIndex, descend, occurrences
+from .suffixindex import ROOT, NodeId, SuffixIndex, navigate, occurrences
 from .textmodel import Pattern
 
 
@@ -70,24 +70,24 @@ def par_query_trie(trie: SuffixIndex, dct: PairDict, pat: Pattern, p: int,
     asn = assign_subqueries(pat.m, p)
     chunks = [pat.chars[off - 1:off - 1 + ln]
               for off, ln in zip(asn.offsets, asn.lengths)]
-    navs = mapper(lambda chunk: descend(trie, chunk), chunks)
+    navs = mapper(lambda chunk: navigate(trie, chunk), chunks)
 
     reps: list[NodeId] = [ROOT] * (p + 1)     # 1-based lanes
     done: list[int] = [0] * (p + 1)           # lane completion times
-    for i, (path, covered) in enumerate(navs, 1):
-        reps[i], cum = path[-1]
+    for i, (node, cum, covered) in enumerate(navs, 1):
+        reps[i] = node
         # a fell-off lane still paid for its failing comparison
         consumed = cum if covered else cum + 1
         if consumed > 0:
             done[i] = ledger.charge("lane%d" % i, "nav_chars", consumed)
-    if not all(covered for _, covered in navs):
+    if not all(covered for _, _, covered in navs):
         return EMPTY
 
     j = 1
     while j < p:
         hit = True
         for g in range(1, p + 1, 2 * j):
-            w = probe(dct, trie, reps[g], reps[g + j])
+            w = probe(dct, reps[g], reps[g + j])
             done[g] = ledger.charge("lane%d" % g, "probes", 1,
                                     ready=max(done[g], done[g + j]))
             if w is None:

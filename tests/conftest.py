@@ -9,7 +9,7 @@ import pytest
 
 from parsuffix import (build_ancestry, build_layered_index, build_suffix_tree,
                        build_suffix_trie, build_tree_halving_dict,
-                       build_trie_halving_dict, descend, make_text)
+                       build_trie_halving_dict, make_text, navigate)
 
 ABRA = b"ABRACADABRA"
 
@@ -18,8 +18,7 @@ def find_exact(index, chars):
     """The node whose longest corresponding substring is exactly ``chars``,
     or None.  Compares every character, not just discriminators."""
     want = tuple(chars)
-    path, covered = descend(index, want)
-    node, cum = path[-1]
+    node, cum, covered = navigate(index, want)
     if not covered or cum != len(want) or index.spelling(node) != want:
         return None
     return node

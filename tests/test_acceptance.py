@@ -33,7 +33,6 @@ from parsuffix import (build_ancestry, build_container, build_layered_index,
                        seq_query)
 from parsuffix.harness import generate_corpus
 from parsuffix.interleaved import _sub_len, _truncate, deinterleave_paths
-from parsuffix.ledger import StepLedger
 from parsuffix.suffixindex import ROOT, descend
 from parsuffix.textmodel import Pattern
 
@@ -149,13 +148,11 @@ def test_criterion_4_interleaved_bounds(corpus_reports):
                     half = k // 2
                     nxt = {}
                     for lane in range(1, half + 1):
-                        led = StepLedger()
-                        merged, _ = deinterleave_paths(paths[lane],
-                                                       paths[lane + half],
-                                                       idx.dicts[k], led)
+                        merged, probes = deinterleave_paths(
+                            paths[lane], paths[lane + half], idx.dicts[k])
                         probe_checked += 1
-                        if led.probes > 2 * (len(paths[lane]) +
-                                             len(paths[lane + half])):
+                        if probes > 2 * (len(paths[lane]) +
+                                         len(paths[lane + half])):
                             probe_viol += 1
                         nxt[lane] = _truncate([(ROOT, 0)] + merged,
                                               _sub_len(m, lane, half))
@@ -239,18 +236,18 @@ def test_criterion_6_golden_fixtures():
 
     trie = build_suffix_trie(make_text(ABRA, 1))
     trie_dict = build_trie_halving_dict(trie)
-    if probe(trie_dict, trie, find_node(trie, "AB"), find_node(trie, "RA")) \
+    if probe(trie_dict, find_node(trie, "AB"), find_node(trie, "RA")) \
             != find_node(trie, "ABRA"):
         bad.append("trie dict (AB,RA)")
 
     tree_dict = build_tree_halving_dict(tree)
-    if probe(tree_dict, tree, find_node(tree, "A"), find_node(tree, "BRA")) \
+    if probe(tree_dict, find_node(tree, "A"), find_node(tree, "BRA")) \
             != find_node(tree, "ABRA"):
         bad.append("tree dict (A,BRA)")
 
     idx = build_layered_index(ABRA, 4)
     up, low = idx.layers[2].tree, idx.layers[1].tree
-    w = probe(idx.dicts[2], up, find_exact(up, tuple(b"A")),
+    w = probe(idx.dicts[2], find_exact(up, tuple(b"A")),
               find_exact(up, tuple(b"BA")))
     if w is None or low.cum[w] != 4:
         bad.append("layer dict (A,BA)")

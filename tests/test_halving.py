@@ -15,9 +15,8 @@ from conftest import find_node, random_text
 
 def test_trie_dict_golden(abra_trie, abra_trie_dict):
     ab, ra = find_node(abra_trie, "AB"), find_node(abra_trie, "RA")
-    assert probe(abra_trie_dict, abra_trie, ab, ra) == \
-        find_node(abra_trie, "ABRA")
-    assert probe(abra_trie_dict, abra_trie, ra, ab) is None
+    assert probe(abra_trie_dict, ab, ra) == find_node(abra_trie, "ABRA")
+    assert probe(abra_trie_dict, ra, ab) is None
 
 
 def test_trie_dict_one_entry_per_node(abra_trie, abra_trie_dict):
@@ -35,8 +34,7 @@ def test_trie_dict_parity(abra_trie, abra_trie_dict):
 
 def test_tree_dict_golden(abra_tree, abra_tree_dict):
     a, bra = find_node(abra_tree, "A"), find_node(abra_tree, "BRA")
-    assert probe(abra_tree_dict, abra_tree, a, bra) == \
-        find_node(abra_tree, "ABRA")
+    assert probe(abra_tree_dict, a, bra) == find_node(abra_tree, "ABRA")
 
 
 def test_tree_dict_one_entry_per_node(abra_tree, abra_tree_dict):
@@ -63,11 +61,6 @@ def test_tree_dict_pairs_cover_shortest_string():
                 assert b == ROOT
             else:
                 assert tree.cum[b] >= short_len - tree.cum[a]
-
-
-def test_probe_foreign_index_rejected(abra_trie, abra_tree, abra_trie_dict):
-    with pytest.raises(PairDictError):
-        probe(abra_trie_dict, abra_tree, 1, 2)
 
 
 def test_collision_detection(abra_trie):

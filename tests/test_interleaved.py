@@ -75,10 +75,10 @@ def test_layer_dict_golden():
     low = idx.layers[1].tree
     a = find_exact(up, tuple(b"A"))
     ba = find_exact(up, tuple(b"BA"))
-    abra = probe(idx.dicts[2], up, a, ba)
+    abra = probe(idx.dicts[2], a, ba)
     assert bytes(node_label(low, abra)) == b"ABRA"
     # the one-char lower node "A" pairs the upper "A" with the root
-    assert probe(idx.dicts[2], up, a, ROOT) is not None
+    assert probe(idx.dicts[2], a, ROOT) is not None
     assert len(idx.dicts[2]) == len(low) - 1
 
 
@@ -96,12 +96,11 @@ def test_deinterleave_paths_golden():
     p1, ok1 = descend(up, tuple(b"AR"))
     p2, ok2 = descend(up, tuple(b"BA"))
     assert ok1 and ok2
-    led = StepLedger()
-    merged, _ = deinterleave_paths(p1, p2, idx.dicts[2], led)
+    merged, probes = deinterleave_paths(p1, p2, idx.dicts[2])
     labels = [bytes(node_label(idx.layers[1].tree, nid))
               for nid, _ in merged]
     assert labels == [b"A", b"ABRA"]
-    assert led.probes <= 2 * (len(p1) + len(p2))
+    assert probes <= 2 * (len(p1) + len(p2))
 
 
 def test_path_recovery_property():

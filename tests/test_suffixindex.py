@@ -13,7 +13,6 @@ from parsuffix import (ROOT, build_ancestry, build_suffix_tree,
                        occurrences, verify_against_text)
 from parsuffix.interleaved import build_layer
 from parsuffix.serial import Container
-from parsuffix.suffixindex import NavStatus
 from parsuffix.textmodel import Pattern, interleave
 
 from conftest import (ABRA, distinct_substrings, find_exact, find_node,
@@ -63,25 +62,25 @@ def test_tree_single_symbol():
 
 
 def test_navigate_golden(abra_tree):
-    out = navigate(abra_tree, Pattern.from_bytes(b"ABRA"))
-    assert out.status is NavStatus.FULL_MATCH
-    assert abra_tree.cum[out.node] == 4
-    assert occurrences(abra_tree, out.node) == [1, 8]
+    node, _, covered = navigate(abra_tree, b"ABRA")
+    assert covered
+    assert abra_tree.cum[node] == 4
+    assert occurrences(abra_tree, node) == [1, 8]
 
-    out = navigate(abra_tree, Pattern.from_bytes(b"ABRAC"))
-    assert out.status is NavStatus.FULL_MATCH
-    assert abra_tree.cum[out.node] == 12     # leaf overshoot
-    assert occurrences(abra_tree, out.node) == [1]
+    node, _, covered = navigate(abra_tree, b"ABRAC")
+    assert covered
+    assert abra_tree.cum[node] == 12     # leaf overshoot
+    assert occurrences(abra_tree, node) == [1]
 
     # patricia semantics: "ABX" blind-matches to the ABRA node (X is never
     # a discriminator); terminal verification rejects it
-    out = navigate(abra_tree, Pattern.from_bytes(b"ABX"))
-    assert out.status is NavStatus.FULL_MATCH
-    assert not verify_against_text(abra_tree, out.node,
+    node, _, covered = navigate(abra_tree, b"ABX")
+    assert covered
+    assert not verify_against_text(abra_tree, node,
                                    Pattern.from_bytes(b"ABX"))
 
-    out = navigate(abra_tree, Pattern.from_bytes(b"XAB"))
-    assert out.status is NavStatus.FELL_OFF
+    _, _, covered = navigate(abra_tree, b"XAB")
+    assert not covered
 
 
 def test_record_path_layer2_goldens():
@@ -163,11 +162,10 @@ def test_data_is_the_interleaved_subsequences(k):
        st.binary(min_size=1, max_size=6))
 def test_sequential_equivalence_hypothesis(raw, pat):
     tree = build_suffix_tree(make_text(raw, 1))
-    out = navigate(tree, Pattern.from_bytes(pat))
+    node, _, covered = navigate(tree, pat)
     got = ()
-    if out.status is NavStatus.FULL_MATCH and \
-            verify_against_text(tree, out.node, Pattern.from_bytes(pat)):
-        got = tuple(occurrences(tree, out.node))
+    if covered and verify_against_text(tree, node, Pattern.from_bytes(pat)):
+        got = tuple(occurrences(tree, node))
     assert got == naive_positions(raw, pat)
 
 

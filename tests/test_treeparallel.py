@@ -56,6 +56,24 @@ def test_rejects_trie(abra_trie, abra_anc, abra_tree_dict):
                         Pattern.from_bytes(b"AB"))
 
 
+def test_rejects_foreign_ancestry(abra_tree, abra_tree_dict):
+    """An ancestry from another tree, even one of the same text, gives
+    wrong answers or an IndexError if used, so it is refused at entry."""
+    pat = Pattern.from_bytes(b"ABRA")
+    for raw in (b"ABABABAB", b"ABRACADABRA"):
+        other = build_suffix_tree(make_text(raw, 1))
+        with pytest.raises(ParameterError):
+            par_query_tree2(abra_tree, build_ancestry(other), abra_tree_dict,
+                            pat)
+
+
+def test_rejects_foreign_dictionary(abra_tree, abra_anc):
+    other = build_suffix_tree(make_text(b"ABRACADABRA", 1))
+    with pytest.raises(ParameterError):
+        par_query_tree2(abra_tree, abra_anc, build_tree_halving_dict(other),
+                        Pattern.from_bytes(b"ABRA"))
+
+
 def test_accounting_bounds_golden():
     led = StepLedger()
     res = run(b"ABRACADABRA", b"ABRA", led)

@@ -29,6 +29,13 @@ def test_assignment_parameter_errors():
     assert assign_subqueries(4, 1).lengths == (4,)
 
 
+def test_rejects_foreign_dictionary(abra_trie):
+    other = build_suffix_trie(make_text(b"ABRACADABRA", 1))
+    with pytest.raises(ParameterError):
+        par_query_trie(abra_trie, build_trie_halving_dict(other),
+                       Pattern.from_bytes(b"ABRA"), 2)
+
+
 def test_assignment_sums_and_balance():
     rng = random.Random(1)
     for _ in range(200):
