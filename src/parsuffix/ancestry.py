@@ -23,18 +23,16 @@ class AncestryError(Exception):
 
 @dataclass
 class AncestryIndex:
-    # the tree's cum array, not the tree: the tree holds its ancestry,
-    # and no cycle keeps a dropped tree alive until a full collection
+    # the tree's cum array (a node's depth in the suffix-links tree), not
+    # the tree: the tree holds its ancestry, and no cycle keeps a dropped
+    # tree alive until a full collection
     cum: array
-    suffix_link: array               # per node; root links to itself
-    jump: list[array]                # jump[j][node] = 2^j-th suffix-link ancestor
-
-    def depth(self, nid: NodeId) -> int:
-        """Depth in the suffix-links tree (= cumulative skip value)."""
-        return self.cum[nid]
+    # jump[j][node] = 2^j-th suffix-link ancestor; jump[0] holds the
+    # suffix links, the root linking to itself
+    jump: list[array]
 
 
-def suffix_links(tree: SuffixIndex) -> array:
+def suffix_links(tree: SuffixIndex) -> list[NodeId]:
     """Suffix link of every node (the root links to itself), top-down.
 
     A node's string minus its first character extends its parent's string
@@ -70,7 +68,7 @@ def suffix_links(tree: SuffixIndex) -> array:
             raise AncestryError("suffix link target overshoots "
                                 "(not a suffix tree)")
         links[nid] = cur
-    return array("i", links)
+    return links
 
 
 def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
@@ -82,20 +80,19 @@ def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
     returned by later calls, so the tree halving dictionary and tree-par2
     share it."""
     if tree.ancestry is None:
-        links = suffix_links(tree)
+        prev = suffix_links(tree)
         levels = max(1, max(tree.cum).bit_length())
-        jump = [links]
-        prev = links.tolist()      # a list reads its ints without boxing
+        jump = [array("i", prev)]
         for _ in range(1, levels):
             prev = [prev[x] for x in prev]
             jump.append(array("i", prev))
-        tree.ancestry = AncestryIndex(tree.cum, links, jump)
+        tree.ancestry = AncestryIndex(tree.cum, jump)
     return tree.ancestry
 
 
 def level_ancestor_sl(anc: AncestryIndex, nid: NodeId, d: int) -> NodeId:
     """The node reached by following exactly ``d`` suffix links."""
-    if d > anc.depth(nid):
+    if d > anc.cum[nid]:
         raise AncestryError("level ancestor overshoots the root")
     j = 0
     while d:

@@ -44,25 +44,14 @@ def _read_patterns(args: argparse.Namespace) -> list[bytes]:
     return pats
 
 
-def _dict_size(cont: Container) -> int:
-    if cont.dct is not None:
-        return len(cont.dct)
-    return sum(len(d) for d in cont.layered.dicts.values())
-
-
-def _node_count(cont: Container) -> int:
-    if cont.index is not None:
-        return len(cont.index)
-    return sum(len(l.tree) for l in cont.layered.layers.values())
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     with open(args.text, "rb") as fh:
         raw = fh.read()
     cont = build_container(raw, args.index, args.p)
     save_file(args.out, cont)
+    indexes, dicts = cont.blocks()
     print("index=%s nodes=%d dict_entries=%d bytes=%d" %
-          (args.index, _node_count(cont), _dict_size(cont),
+          (args.index, sum(map(len, indexes)), sum(map(len, dicts)),
            os.path.getsize(args.out)))
     return 0
 

@@ -134,9 +134,16 @@ class Algorithm:
 
 
 def _trie_par_law(pat, p, led, res):
-    # work identity: m characters + one probe per merged pair
+    # work identity: m characters + one probe per merged pair; a run that
+    # finds nothing stops early and does no more than that
     if res.found and led.work != pat.m + (p - 1):
         return "work law violated: work=%d m=%d p=%d" % (led.work, pat.m, p)
+    if not res.found and (led.nav_chars > pat.m or led.probes > p - 1):
+        return "absent law violated: nav=%d probes=%d m=%d p=%d" % (
+            led.nav_chars, led.probes, pat.m, p)
+    span_cap = -(-pat.m // p) + p.bit_length() - 1     # ceil(m/p) + lg p
+    if led.span > span_cap:
+        return "span law violated: span=%d cap=%d" % (led.span, span_cap)
     return None
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .halving import PairDict, PairDictError, probe
@@ -36,12 +36,10 @@ class LayerIndex:
     tree: SuffixIndex
 
 
+@dataclass
 class LayeredIndex:
-    def __init__(self, raw: bytes, p: int) -> None:
-        self.raw = bytes(raw)
-        self.p = p
-        self.layers: dict[int, LayerIndex] = {}
-        self.dicts: dict[int, PairDict] = {}   # keyed by the upper layer's k
+    layers: dict[int, LayerIndex] = field(default_factory=dict)
+    dicts: dict[int, PairDict] = field(default_factory=dict)  # by upper k
 
 
 def build_layer(raw: bytes | Sequence[int], k: int) -> LayerIndex:
@@ -102,13 +100,11 @@ def _cover(index: SuffixIndex, cur: NodeId, data: Sequence[int], first: int,
 def build_layered_index(raw: bytes, p: int) -> LayeredIndex:
     if not is_pow2(p):
         raise ParameterError("p must be a power of two")
-    idx = LayeredIndex(raw, p)
-    k = 1
-    while k <= p:
+    idx = LayeredIndex()
+    for k in (1 << i for i in range(p.bit_length())):
         idx.layers[k] = build_layer(raw, k)
         if k > 1:
             idx.dicts[k] = build_layer_dict(idx.layers[k], idx.layers[k // 2])
-        k *= 2
     return idx
 
 
@@ -197,7 +193,7 @@ def par_query_interleaved(index: LayeredIndex, pat: Pattern, j: int,
     subsequences in layer j, then paths are deinterleaved down to layer 1
     where the covering node is verified and reported.  ``mapper`` runs the
     lanes of each round."""
-    if not is_pow2(j) or j > index.p:
+    if j not in index.layers:
         raise ParameterError("j must be a power of two with j <= p")
     ledger = ledger if ledger is not None else StepLedger()
     top = index.layers[j].tree

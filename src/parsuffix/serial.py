@@ -8,15 +8,15 @@ Layout (all integers little-endian):
     p       u32     (layer count bound; 1 for trie/tree)
     rawlen  u64, raw text bytes
 
-    kind 0/1:  one index block, one pair-dict block
-    kind 2:    index blocks for k = 1, 2, 4, ..., p (in that order), then
-               pair-dict blocks for each upper k = 2, 4, ..., p
+    index blocks, then pair-dict blocks (:meth:`Container.blocks`): one
+    of each for a trie or tree; for an interleaved index one per layer
+    k = 1, 2, 4, ..., p, then one per upper layer k = 2, 4, ..., p
 
     index block:
         stride u32, node count u32, then per node (in id order):
         parent u32 (0xFFFFFFFF for the root), skip u32,
         ref u32 (0 = none), child count u16,
-        then per child: symbol u16, child id u32
+        then per child, by symbol: symbol u16, child id u32
 
     pair-dict block:
         entry count u32, then (a u32, b u32, w u32) triples sorted by key
@@ -39,8 +39,9 @@ and none on the root, only one-symbol edges in a trie, refs inside the
 data) whose leaves report every text position exactly once, each leaf at
 its suffix's depth, every edge symbol is the data symbol at that depth
 below its child's leftmost leaf, every dictionary block maps each
-non-root node of its target exactly once from distinct pairs, and the
-input ends with the last block.
+non-root node of its target exactly once from distinct pairs, every
+non-root inner node of a tree (plain or layer) has two children or more,
+and the input ends with the last block.
 
 Left unchecked: the raw text (a changed symbol can keep every edge symbol
 and depth consistent) and which pair a dictionary entry holds; catching
@@ -55,10 +56,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .halving import PairDict
-from .interleaved import LayerIndex, LayeredIndex
+from .halving import (PairDict, build_tree_halving_dict,
+                      build_trie_halving_dict)
+from .interleaved import LayerIndex, LayeredIndex, build_layered_index
 from .lanes import is_pow2
-from .suffixindex import NO_CHILDREN, NO_PARENT, SuffixIndex
+from .suffixindex import (NO_CHILDREN, NO_PARENT, SuffixIndex,
+                          build_suffix_tree, build_suffix_trie)
 from .textmodel import make_text
 
 MAGIC = b"PQST"
@@ -79,11 +82,17 @@ class ContainerError(ValueError):
     pass
 
 
+def _strides(kind: str, p: int) -> list[int]:
+    """The strides of a container's index blocks, in file order."""
+    return [1 << i for i in range(p.bit_length())] \
+        if kind == "interleaved" else [1]
+
+
 @dataclass
 class Container:
     """A text's built indexes, as built or loaded: what every query
-    algorithm runs on.  A tree's suffix links are kept on the tree
-    (``index.ancestry``), not here."""
+    algorithm runs on; :meth:`blocks` lists them in file order.  A tree's
+    suffix links are kept on the tree (``index.ancestry``), not here."""
 
     kind: str                      # "trie" | "tree" | "interleaved"
     raw: bytes
@@ -92,12 +101,16 @@ class Container:
     dct: Optional[PairDict] = None            # halving dict for the index
     layered: Optional[LayeredIndex] = None    # interleaved kind
 
+    def blocks(self) -> tuple[list[SuffixIndex], list[PairDict]]:
+        """The index blocks, then the dictionary blocks, in file order."""
+        if self.layered is None:
+            return [self.index], [self.dct]
+        strides = _strides(self.kind, self.p)
+        return ([self.layered.layers[k].tree for k in strides],
+                [self.layered.dicts[k] for k in strides[1:]])
+
 
 def build_container(raw: bytes, kind: str, p: int = 1) -> Container:
-    from .halving import build_tree_halving_dict, build_trie_halving_dict
-    from .interleaved import build_layered_index
-    from .suffixindex import build_suffix_tree, build_suffix_trie
-
     if kind == "trie":
         idx = build_suffix_trie(make_text(raw, 1))
         return Container(kind, raw, 1, idx, build_trie_halving_dict(idx))
@@ -118,7 +131,7 @@ def _pack_index(out: bytearray, index: SuffixIndex) -> None:
                                            index.ref, index.children):
         out += _NODE.pack(_NO_PARENT if parent == NO_PARENT else parent,
                           skip, ref, len(children))
-        for sym, child in sorted(children.items()):
+        for sym, child in children.items():
             out += _CHILD.pack(sym, child)
 
 
@@ -134,18 +147,11 @@ def dump_container(cont: Container) -> bytes:
     out += _HEAD.pack(VERSION, _KINDS[cont.kind], cont.p)
     out += _RAWLEN.pack(len(cont.raw))
     out += cont.raw
-    if cont.kind in ("trie", "tree"):
-        _pack_index(out, cont.index)
-        _pack_dict(out, cont.dct)
-    else:
-        k = 1
-        while k <= cont.p:
-            _pack_index(out, cont.layered.layers[k].tree)
-            k *= 2
-        k = 2
-        while k <= cont.p:
-            _pack_dict(out, cont.layered.dicts[k])
-            k *= 2
+    indexes, dicts = cont.blocks()
+    for index in indexes:
+        _pack_index(out, index)
+    for d in dicts:
+        _pack_dict(out, d)
     return bytes(out)
 
 
@@ -235,11 +241,14 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
     index.children = children
     index.finalize()
     _check_labels(index)
-    n = index.text.base_len
+    n = index.base_len
     pos = index.leaf_pos
     if len(pos) != n or len(set(pos)) != n or (n and min(pos) < 1):
         raise ContainerError("the leaves are not the text's %d suffixes, "
                              "each once" % n)
+    if kind == "tree" and 1 in map(len, index.children[1:]):
+        raise ContainerError("a tree's inner node other than the root has "
+                             "one child")
     return index
 
 
@@ -314,24 +323,20 @@ def load_container(data: bytes) -> Container:
     (rawlen,) = rd.take(_RAWLEN)
     raw = rd.take_bytes(rawlen)
 
-    if kind in ("trie", "tree"):
-        index = _unpack_index(rd, raw, kind, 1)
-        dct = _unpack_dict(rd, index, index)
-        rd.expect_end()
-        return Container(kind, raw, p, index, dct)
-
-    layered = LayeredIndex(raw, p)
-    k = 1
-    while k <= p:
-        layered.layers[k] = LayerIndex(k, _unpack_index(rd, raw, "tree", k))
-        k *= 2
-    k = 2
-    while k <= p:
-        layered.dicts[k] = _unpack_dict(rd, layered.layers[k].tree,
-                                        layered.layers[k // 2].tree)
-        k *= 2
+    strides = _strides(kind, p)
+    indexes = [_unpack_index(rd, raw, "trie" if kind == "trie" else "tree", k)
+               for k in strides]
+    if kind == "interleaved":
+        # layer k's dictionary maps pairs of its nodes to layer k/2's nodes
+        dicts = {k: _unpack_dict(rd, upper, lower) for k, upper, lower
+                 in zip(strides[1:], indexes[1:], indexes)}
+        layers = {k: LayerIndex(k, tree) for k, tree in zip(strides, indexes)}
+        cont = Container(kind, raw, p, layered=LayeredIndex(layers, dicts))
+    else:
+        index = indexes[0]
+        cont = Container(kind, raw, p, index, _unpack_dict(rd, index, index))
     rd.expect_end()
-    return Container(kind, raw, p, layered=layered)
+    return cont
 
 
 def save_file(path: str, cont: Container) -> None:

@@ -55,16 +55,16 @@ class SuffixIndex:
     tree of a random binary text of 16000 symbols holds 183 B per node in
     all (tracemalloc, CPython 3.11), most of it in the child dicts.
 
-    ``stride`` is the text's delimiter count k.  ``data`` is the
-    concatenation of the text's k interleaved subsequences (just the text
-    symbols for k = 1), and ``seq_starts`` holds the 1-based data position
-    where each subsequence begins; leaf refs map back to text positions
-    through both.
+    ``stride`` is the text's delimiter count k and ``base_len`` its length
+    without them.  ``data`` is the concatenation of the text's k
+    interleaved subsequences (just the text symbols for k = 1), and
+    ``seq_starts`` holds the 1-based data position where each subsequence
+    begins; leaf refs map back to text positions through both.
     """
 
     def __init__(self, text: Text, kind: str) -> None:
         assert kind in ("trie", "tree")
-        self.text = text
+        self.base_len = text.base_len
         self.kind = kind
         self.stride = text.k
         seqs = interleave(text.symbols, text.k)
@@ -135,7 +135,7 @@ class SuffixIndex:
         children = self.children
         ref = self.ref
         lref = self.leftmost_leaf_ref
-        base_len = self.text.base_len
+        base_len = self.base_len
         # a plain index's data positions are its text positions
         to_text = None if self.stride == 1 else self.data_pos_to_text_pos
         lo = array("i", bytes(4 * len(children)))

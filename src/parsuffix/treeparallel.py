@@ -352,7 +352,7 @@ class _TwoLaneDriver:
         return EMPTY
 
     def _single_occurrence(self, candidate: int) -> QueryResult:
-        n = self.tree.text.base_len
+        n = self.tree.base_len
         if candidate < 1 or candidate + self.m - 1 > n:
             return EMPTY
         self.ledger.charge("lane1", "compares", self.half, timed=False)

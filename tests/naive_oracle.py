@@ -31,7 +31,7 @@ def naive_layer(raw: bytes, k: int) -> LayerIndex:
 
 
 def naive_layered_index(raw: bytes, p: int) -> LayeredIndex:
-    idx = LayeredIndex(raw, p)
+    idx = LayeredIndex()
     k = 1
     while k <= p:
         idx.layers[k] = naive_layer(raw, k)
@@ -112,7 +112,7 @@ def naive_occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
             stack.extend(index.children[top].values())
         elif index.ref[top]:
             pos = index.data_pos_to_text_pos(index.ref[top])
-            if pos <= index.text.base_len:
+            if pos <= index.base_len:
                 out.append(pos)
     return sorted(out)
 

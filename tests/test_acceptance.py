@@ -95,13 +95,13 @@ def test_criterion_3_tree_par2_bounds(corpus_reports):
             if a.name != "tree-par2":
                 continue
             checked += 1
-            nav_cap = -(-m // 2) + -(-3 * m // 4) + 2
+            nav_cap = -(-5 * m // 4) + 2
             if a.ledger.nav_chars > nav_cap or a.span > m + 4 or \
                     a.ledger.probes > 2 * m + 2:
                 violations += 1
     emit(checked > 0 and violations == 0,
          "criterion 3: tree-par2 bounds — %d runs, %d violations "
-         "(nav <= ceil(m/2)+ceil(3m/4)+2, span <= m+4, probes <= 2m+2)" %
+         "(nav <= ceil(5m/4)+2, span <= m+4, probes <= 2m+2)" %
          (checked, violations))
 
 

@@ -18,22 +18,22 @@ from test_construction import IDS, TEXTS
 
 def naive_links(anc, nid, steps):
     for _ in range(steps):
-        nid = anc.suffix_link[nid]
+        nid = anc.jump[0][nid]
     return nid
 
 
 def test_suffix_links_golden(abra_tree, abra_anc):
-    assert abra_anc.suffix_link[find_node(abra_tree, "ABRA")] == \
+    assert abra_anc.jump[0][find_node(abra_tree, "ABRA")] == \
         find_node(abra_tree, "BRA")
-    assert abra_anc.suffix_link[find_node(abra_tree, "BRA")] == \
+    assert abra_anc.jump[0][find_node(abra_tree, "BRA")] == \
         find_node(abra_tree, "RA")
-    assert abra_anc.suffix_link[find_node(abra_tree, "A")] == ROOT
-    assert abra_anc.suffix_link[ROOT] == ROOT
+    assert abra_anc.jump[0][find_node(abra_tree, "A")] == ROOT
+    assert abra_anc.jump[0][ROOT] == ROOT
 
 
 def test_link_removes_one_leading_char(abra_tree, abra_anc):
     for nid in range(1, len(abra_tree)):
-        tgt = abra_anc.suffix_link[nid]
+        tgt = abra_anc.jump[0][nid]
         assert abra_tree.cum[tgt] == abra_tree.cum[nid] - 1
         spelled = abra_tree.spelling(nid)[1:]
         r = abra_tree.leftmost_leaf_ref[tgt]
@@ -42,7 +42,7 @@ def test_link_removes_one_leading_char(abra_tree, abra_anc):
 
 def test_depth_equals_cum(abra_tree, abra_anc):
     for nid in range(len(abra_tree)):
-        assert abra_anc.depth(nid) == abra_tree.cum[nid]
+        assert abra_anc.cum[nid] == abra_tree.cum[nid]
 
 
 def test_level_ancestor_matches_naive_walk():

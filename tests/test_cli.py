@@ -28,6 +28,19 @@ def test_build_reports_node_count(tmp_path, abra_file, capsys):
     assert "nodes=17" in out
 
 
+@pytest.mark.parametrize("kind,p,line", [
+    ("tree", 1, "index=tree nodes=17 dict_entries=16 bytes=567"),
+    ("trie", 1, "index=trie nodes=67 dict_entries=66 bytes=2167"),
+    ("interleaved", 4, "index=interleaved nodes=55 dict_entries=34 "
+                       "bytes=1551"),
+])
+def test_build_summary_line(tmp_path, abra_file, capsys, kind, p, line):
+    """Nodes and dictionary entries summed over every block: the
+    interleaved line counts layers 1, 2 and 4 and dictionaries 2 and 4."""
+    build(tmp_path, abra_file, kind, p)
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_build_rejects_non_power_of_two(tmp_path, abra_file, capsys):
     rc = main(["build", "--text", abra_file, "--index", "interleaved",
                "--p", "3", "--out", str(tmp_path / "x.idx")])
@@ -230,3 +243,15 @@ def test_query_rejects_tree_without_suffix_links(tmp_path, capsys):
     assert rc == 2
     assert "edge symbol 99 disagrees with the text" in \
         capsys.readouterr().err
+
+
+def test_query_rejects_tree_node_with_one_child(tmp_path, capsys):
+    from parsuffix.serial import dump_container
+    from test_serial import one_child_tree_container
+    path = tmp_path / "bad.idx"
+    path.write_bytes(dump_container(one_child_tree_container()))
+    rc = main(["query", "--index", str(path), "--pattern", "ABRA",
+               "--algo", "seq"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "one child" in err

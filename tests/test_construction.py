@@ -54,7 +54,7 @@ def test_tree_matches_oracle(raw):
     oracle = naive_suffix_tree(make_text(raw, 1))
     assert_same_nodes(tree, oracle)
     assert list(suffix_links(tree)) == naive_suffix_links(oracle)
-    assert list(build_ancestry(tree).suffix_link) == \
+    assert list(build_ancestry(tree).jump[0]) == \
         naive_suffix_links(oracle)
     want_dict = naive_tree_dict(oracle)
     assert build_tree_halving_dict(tree).entries == want_dict.entries
@@ -106,7 +106,7 @@ def assert_finalized(index, n):
                 index.data_pos_to_text_pos(index.ref[nid]) > n:
             assert lo[nid] == hi[nid], nid          # delimiter-tail leaf
             tail += 1
-    assert tail == len(index.text) - n
+    assert tail == len(index.data) - n
 
 
 @pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)

@@ -236,6 +236,48 @@ def test_tree_missing_a_suffix_rejected():
         load_container(dump_container(cont))
 
 
+def split_first_long_edge(index):
+    """Split the first edge of two symbols or more after its first symbol
+    by a new node with one child, appended as the last id; returns it."""
+    child = next(nid for nid in range(1, len(index)) if index.skip[nid] > 1)
+    parent, lref = index.parent[child], index.leftmost_leaf_ref[child]
+    depth = index.cum[parent]
+    mid = len(index)
+    for field, value in ((index.parent, parent), (index.skip, 1),
+                         (index.cum, depth + 1), (index.ref, 0),
+                         (index.leftmost_leaf_ref, lref)):
+        field.append(value)
+    index.children.append({index.data[lref + depth]: child})
+    index.children[parent][index.data[lref - 1 + depth]] = mid
+    index.parent[child] = mid
+    index.skip[child] -= 1
+    return mid
+
+
+def one_child_tree_container():
+    """ABRACADABRA's tree with one edge split by a one-child node, which
+    the dictionary maps from a pair of its own.  Every other check passes:
+    a loader without the branching check took it."""
+    cont = build_container(ABRA, "tree")
+    mid = split_first_long_edge(cont.index)
+    cont.dct.entries[mid << 32] = mid
+    return cont
+
+
+@pytest.mark.parametrize("kind", ["tree", "interleaved"])
+def test_tree_node_with_one_child_rejected(kind):
+    """A non-root inner node of a tree (here the plain tree, or the top
+    layer of an interleaved p=2 index, which no dictionary targets) must
+    branch."""
+    if kind == "tree":
+        cont = one_child_tree_container()
+    else:
+        cont = build_container(ABRA, kind, 2)
+        split_first_long_edge(cont.layered.layers[2].tree)
+    with pytest.raises(ContainerError, match="one child"):
+        load_container(dump_container(cont))
+
+
 @pytest.mark.parametrize("stride", [2, 0, 2_000_000])
 def test_tree_block_with_wrong_stride_rejected(stride):
     """A tree block's stride must be 1.  A loader that trusted it loaded

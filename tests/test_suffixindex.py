@@ -107,7 +107,7 @@ def test_suffix_completeness(abra_tree, abra_trie):
     """Navigating with any full suffix reaches a leaf carrying its start."""
     for index in (abra_tree, abra_trie):
         for i in range(1, len(ABRA) + 1):
-            node = find_exact(index, index.text.symbols[i - 1:])
+            node = find_exact(index, index.data[i - 1:])
             assert node is not None and index.ref[node] == i
 
 
