@@ -5,8 +5,9 @@ node's longest corresponding substring, so a node's depth in the
 suffix-links tree equals its cumulative skip value.  Multi-character
 shortening is a level-ancestor query in that tree, answered here by
 binary lifting (O(log n) per query; the accounting model still charges
-one step per shorten).  Links are computed top-down from the stored tree
-(:func:`suffix_links`), so built and loaded trees are handled alike.
+one step per shorten).  Links are computed parents first, in node id
+order, from the stored tree (:func:`suffix_links`), so built and loaded
+trees are handled alike.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ class AncestryIndex:
 
 
 def suffix_links(tree: SuffixIndex) -> list[NodeId]:
-    """Suffix link of every node (the root links to itself), top-down.
+    """Suffix link of every node (the root links to itself), in id order.
 
     A node's string minus its first character extends its parent's string
     minus the first character, so the link target lies below the parent's
     link and is reached by skip/count: one child lookup per node passed,
-    the string being known to be present.  Uses only the stored structure,
-    so built and loaded trees give the same links.
+    the string being known to be present.  Node ids are a preorder, so a
+    parent's link is known before its children's.  Uses only the stored
+    structure, so built and loaded trees give the same links.
     """
     if tree.kind != "tree":
         raise ValueError("suffix links require a suffix tree")
@@ -49,10 +51,7 @@ def suffix_links(tree: SuffixIndex) -> list[NodeId]:
     lrefs = tree.leftmost_leaf_ref
     data = tree.data
     links = [ROOT] * len(cum)          # a list reads back without boxing
-    stack = list(children[ROOT].values())
-    while stack:                                 # parents before children
-        nid = stack.pop()
-        stack.extend(children[nid].values())
+    for nid in range(1, len(cum)):     # node ids are a preorder
         want = cum[nid] - 1
         first = lrefs[nid]               # data[first + d]: link symbol d
         cur = links[parent[nid]]

@@ -59,9 +59,9 @@ def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     two stride-doubled halves, covered by upper-layer nodes.
 
     A node's halves extend its parent's, so each node resumes the two
-    upper-layer walks from its parent's cover nodes.  Every edge has skip
-    >= 1 (the builders and the loader require it), so visiting nodes by
-    cumulative skip puts each parent before its children.
+    upper-layer walks from its parent's cover nodes.  Node ids are a
+    preorder, so visiting them in id order puts each parent before its
+    children.
     """
     if upper.k != 2 * lower.k:
         raise ParameterError("layer dict needs strides k and k/2")
@@ -69,7 +69,7 @@ def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     cum, skip = low.cum, low.skip
     even_cover = array("i", [ROOT]) * len(low)
     odd_cover = array("i", even_cover)
-    for nid in sorted(range(1, len(low)), key=cum.__getitem__):
+    for nid in range(1, len(low)):
         short_len = cum[nid] - skip[nid] + 1
         first = low.leftmost_leaf_ref[nid] - 1  # data[first + i]: symbol i
         par = low.parent[nid]

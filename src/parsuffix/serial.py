@@ -1,11 +1,13 @@
 """Versioned binary container for built indexes.
 
-Layout (all integers little-endian):
+Layout, version 2 (all integers little-endian):
 
     magic   "PQST"
-    version u8      (currently 1)
+    version u8      (2)
     kind    u8      (0 = trie, 1 = tree, 2 = interleaved)
     p       u32     (layer count bound; 1 for trie/tree)
+    digest  32 B    (SHA-256 of the raw text followed by the pair-dict
+                    blocks)
     rawlen  u64, raw text bytes
 
     index blocks, then pair-dict blocks (:meth:`Container.blocks`): one
@@ -13,47 +15,58 @@ Layout (all integers little-endian):
     k = 1, 2, 4, ..., p, then one per upper layer k = 2, 4, ..., p
 
     index block:
-        stride u32, node count u32, then per node (in id order):
-        parent u32 (0xFFFFFFFF for the root), skip u32,
-        ref u32 (0 = none), child count u16,
-        then per child, by symbol: symbol u16, child id u32
+        stride u32, node count n u32, then four columns of n values, by
+        node id: parent i32 (-1 for the root), skip u32, ref u32 (0 =
+        none), and sym u16 (the first symbol of the node's incoming edge,
+        0 for the root); 14 B per node
 
     pair-dict block:
         entry count u32, then (a u32, b u32, w u32) triples sorted by key
 
-Only the structural fields are stored; cumulative skips, leftmost leaf
-references and child ordering are recomputed on load, and suffix links /
-lifting tables are rebuilt on demand.  A node record is appended field by
-field to the index's arrays (:class:`~parsuffix.suffixindex.SuffixIndex`),
-so a node's id is its record's position, and ids survive a round trip
-unchanged: dictionary triples and query traces stay comparable.  A pair
+Node ids are a preorder with children in symbol order
+(:meth:`~parsuffix.suffixindex.SuffixIndex.finalize`), so every subtree
+is one contiguous id range and a node's first child is the next id.  The
+loader therefore reads each column with one ``frombytes`` and derives
+the rest in linear passes over the columns, with no tree walk and no
+sort: cumulative skips and child maps top-down, subtree sizes and
+leftmost leaf refs bottom-up, and the reporting range as a running count
+of the reported leaves.  Ids survive a round trip unchanged, so
+dictionary triples and query traces stay comparable.  A pair
 dictionary's packed keys (``a << 32 | b``) sort as the (a, b) pairs do,
 so the triples come out in the same order.
 
 Loading raises ``ContainerError`` unless the header's ``p`` is 1 for a
 trie or tree and a power of two for an interleaved index, every index
 block has the stride its position implies (1 for a trie or tree, k for
-layer k) and spells one tree rooted at node 0 (child and parent ids in
-range, each node listed once and by the parent it names, no empty edges
-and none on the root, only one-symbol edges in a trie, refs inside the
-data) whose leaves report every text position exactly once, each leaf at
-its suffix's depth, every edge symbol is the data symbol at that depth
-below its child's leftmost leaf, every dictionary block maps each
-non-root node of its target exactly once from distinct pairs, every
-non-root inner node of a tree (plain or layer) has two children or more,
-and the input ends with the last block.
+layer k) and spells one tree in preorder rooted at node 0 (each parent
+id below its child's, each node's id range inside its parent's, no two
+children of a node sharing a symbol, no empty edges and none on the
+root, only one-symbol edges in a trie, refs inside the data) whose
+leaves report every text position exactly once, each leaf at its
+suffix's depth, every edge symbol is the data symbol at that depth below
+its child's leftmost leaf, every dictionary block maps each non-root
+node of its target exactly once from distinct pairs, every non-root
+inner node of a tree (plain or layer) has two children or more, the
+input ends with the last block, and the digest matches.
 
-Left unchecked: the raw text (a changed symbol can keep every edge symbol
-and depth consistent) and which pair a dictionary entry holds; catching
-either needs a checksum or a per-leaf label check.
+The digest covers what no structural check can: the raw text (a changed
+symbol can keep every edge symbol and depth consistent) and which pair a
+dictionary entry holds.  The index blocks are left out of it; their
+checks above are what stands between a damaged block and a query.
+Version 1 files, whose node ids were in build order, are rejected with a
+request to rebuild the index.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
+import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice, repeat
+from operator import add, le, lt
 from typing import Optional
 
 from .halving import (PairDict, build_tree_halving_dict,
@@ -61,21 +74,19 @@ from .halving import (PairDict, build_tree_halving_dict,
 from .interleaved import LayerIndex, LayeredIndex, build_layered_index
 from .lanes import is_pow2
 from .suffixindex import (NO_CHILDREN, NO_PARENT, SuffixIndex,
-                          build_suffix_tree, build_suffix_trie)
+                          build_suffix_tree, build_suffix_trie, gather)
 from .textmodel import make_text
 
 MAGIC = b"PQST"
-VERSION = 1
+VERSION = 2
 _KINDS = {"trie": 0, "tree": 1, "interleaved": 2}
 _KIND_NAMES = {v: k for k, v in _KINDS.items()}
-_NO_PARENT = 0xFFFFFFFF
 _HEAD = struct.Struct("<BBI")          # version, kind, p
+_DIGEST_SIZE = 32
 _RAWLEN = struct.Struct("<Q")
 _INDEX_HEAD = struct.Struct("<II")     # stride, node count
-_NODE = struct.Struct("<IIIH")         # parent, skip, ref, child count
-_CHILD = struct.Struct("<HI")          # symbol, child id
 _COUNT = struct.Struct("<I")
-_TRIPLE = struct.Struct("<III")        # a, b, w
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ContainerError(ValueError):
@@ -125,33 +136,50 @@ def build_container(raw: bytes, kind: str, p: int = 1) -> Container:
 # -- encoding ----------------------------------------------------------
 
 
+def _le_bytes(col: array) -> bytes:
+    """A column's values as little-endian bytes."""
+    if _BIG_ENDIAN:
+        col = array(col.typecode, col)
+        col.byteswap()
+    return col.tobytes()
+
+
 def _pack_index(out: bytearray, index: SuffixIndex) -> None:
+    # each node's incoming edge symbol, read off its parent's child map
+    sym = array("H", bytes(2 * len(index)))
+    for children in index.children:
+        for c, child in children.items():
+            sym[child] = c
     out += _INDEX_HEAD.pack(index.stride, len(index))
-    for parent, skip, ref, children in zip(index.parent, index.skip,
-                                           index.ref, index.children):
-        out += _NODE.pack(_NO_PARENT if parent == NO_PARENT else parent,
-                          skip, ref, len(children))
-        for sym, child in children.items():
-            out += _CHILD.pack(sym, child)
+    for col in (index.parent, index.skip, index.ref, sym):
+        out += _le_bytes(col)
 
 
 def _pack_dict(out: bytearray, d: PairDict) -> None:
-    out += _COUNT.pack(len(d))
-    for (a, b), w in d.pairs():
-        out += _TRIPLE.pack(a, b, w)
+    keys = sorted(d.entries)
+    triples = array("I", bytes(12 * len(keys)))
+    triples[0::3] = array("I", [key >> 32 for key in keys])
+    triples[1::3] = array("I", [key & 0xFFFFFFFF for key in keys])
+    triples[2::3] = array("I", gather(d.entries, keys))
+    out += _COUNT.pack(len(keys))
+    out += _le_bytes(triples)
 
 
 def dump_container(cont: Container) -> bytes:
-    out = bytearray()
-    out += MAGIC
+    indexes, dicts = cont.blocks()
+    dict_blocks = bytearray()
+    for d in dicts:
+        _pack_dict(dict_blocks, d)
+    digest = hashlib.sha256(cont.raw)
+    digest.update(dict_blocks)
+    out = bytearray(MAGIC)
     out += _HEAD.pack(VERSION, _KINDS[cont.kind], cont.p)
+    out += digest.digest()
     out += _RAWLEN.pack(len(cont.raw))
     out += cont.raw
-    indexes, dicts = cont.blocks()
     for index in indexes:
         _pack_index(out, index)
-    for d in dicts:
-        _pack_dict(out, d)
+    out += dict_blocks
     return bytes(out)
 
 
@@ -160,22 +188,26 @@ def dump_container(cont: Container) -> bytes:
 
 class _Reader:
     def __init__(self, data: bytes) -> None:
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
     def take(self, fmt: struct.Struct) -> tuple:
-        if self.pos + fmt.size > len(self.data):
-            raise ContainerError("truncated container")
-        vals = fmt.unpack_from(self.data, self.pos)
-        self.pos += fmt.size
-        return vals
+        return fmt.unpack(self.take_bytes(fmt.size))
 
-    def take_bytes(self, n: int) -> bytes:
+    def take_bytes(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ContainerError("truncated container")
         out = self.data[self.pos:self.pos + n]
         self.pos += n
         return out
+
+    def take_column(self, typecode: str, count: int) -> array:
+        """``count`` little-endian values read into an array."""
+        col = array(typecode)
+        col.frombytes(self.take_bytes(col.itemsize * count))
+        if _BIG_ENDIAN:
+            col.byteswap()
+        return col
 
     def expect_end(self) -> None:
         if self.pos != len(self.data):
@@ -185,62 +217,36 @@ class _Reader:
 
 def _unpack_index(rd: _Reader, raw: bytes, kind: str,
                   stride: int) -> SuffixIndex:
+    """An index block: its four columns, checked, and what they imply."""
     got, count = rd.take(_INDEX_HEAD)
     if got != stride:
         raise ContainerError("index block has stride %d where %d belongs"
                              % (got, stride))
-    if count < 1:
-        raise ContainerError("index block has no root")
+    if count < 2:
+        raise ContainerError("index block has %d nodes, not a root and a "
+                             "leaf at least" % count)
+    parent, skip, ref = (rd.take_column("i", count) for _ in range(3))
+    sym = rd.take_column("H", count)
     index = SuffixIndex(make_text(raw, stride), kind)
     data_len = len(index.data)
-    max_skip = 1 if kind == "trie" else data_len
-    # each record is appended to the arrays; a leaf shares NO_CHILDREN,
-    # as finalize leaves it anyway
-    parents, skips, refs = array("i"), array("i"), array("i")
-    children: list[dict[int, int]] = []
-    for nid in range(count):
-        parent, skip, ref, nchild = rd.take(_NODE)
-        if parent == _NO_PARENT:
-            parent = NO_PARENT
-            bad_edge = skip != 0
-        else:
-            bad_edge = not 1 <= skip <= max_skip or parent >= count
-        if bad_edge or ref > data_len:
-            raise ContainerError("node %d: edge of %d symbols in a %s, "
-                                 "parent out of range, or suffix ref "
-                                 "outside the text" % (nid, skip, kind))
-        parents.append(parent)
-        skips.append(skip)
-        refs.append(ref)
-        children.append(dict(_CHILD.iter_unpack(
-            rd.take_bytes(_CHILD.size * nchild))) if nchild else NO_CHILDREN)
-    if parents[0] != NO_PARENT:
+    if parent[0] != NO_PARENT or skip[0] != 0 or sym[0] != 0:
         raise ContainerError("node 0 is not a root")
-    # Parents before children, each node reached once, from the node its
-    # parent field names: the block spells one tree rooted at node 0.
-    cum = array("i", bytes(4 * count))
-    reached = bytearray(count)
-    order = [0]
-    try:
-        for nid in order:
-            for child in children[nid].values():
-                if parents[child] != nid or reached[child]:
-                    raise ContainerError("node %d listed twice or under a "
-                                         "node other than its parent" % child)
-                reached[child] = 1
-                cum[child] = cum[nid] + skips[child]
-                order.append(child)
-    except (IndexError, OverflowError):
-        raise ContainerError("child id out of range, or a path longer "
-                             "than the text") from None
-    if len(order) != count:
-        raise ContainerError("%d nodes unreachable from the root"
-                             % (count - len(order)))
-    index.parent, index.skip, index.cum, index.ref = parents, skips, cum, refs
-    index.leftmost_leaf_ref = array("i", bytes(4 * count))
-    index.children = children
-    index.finalize()
-    _check_labels(index)
+    if min(islice(parent, 1, None)) < 0 or \
+            not all(map(lt, islice(parent, 1, None), range(1, count))):
+        raise ContainerError("a parent id at or after its child's: node "
+                             "ids are not a preorder")
+    shortest, longest = min(islice(skip, 1, None)), max(skip)
+    if shortest < 1 or longest > (1 if kind == "trie" else data_len):
+        raise ContainerError("an edge of %d symbols in a %s"
+                             % (shortest if shortest < 1 else longest, kind))
+    if min(ref) < 0 or max(ref) > data_len:
+        raise ContainerError("a suffix ref outside the text")
+
+    size, end, index.leftmost_leaf_ref = _subtrees(parent, ref)
+    index.cum, index.children = _cums_and_children(parent, skip, sym, size)
+    index.parent, index.skip, index.ref = parent, skip, ref
+    _check_labels(index, [v for v, s in enumerate(size) if s == 1], sym)
+    _set_reporting_range(index, size, end)
     n = index.base_len
     pos = index.leaf_pos
     if len(pos) != n or len(set(pos)) != n or (n and min(pos) < 1):
@@ -252,31 +258,84 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
     return index
 
 
-def _check_labels(index: SuffixIndex) -> None:
+def _subtrees(parent: array, ref: array) -> tuple[list[int], list[int],
+                                                  array]:
+    """Bottom-up, in reverse id order: subtree sizes, the id just past
+    each subtree, and leftmost leaf refs (an inner node's is its first
+    child's, the next id).  Each node's id range must lie inside its
+    parent's, which makes the ids a preorder."""
+    count = len(parent)
+    size = [1] * count
+    lref = array("i", ref)
+    for v in range(count - 1, 0, -1):
+        s = size[v]
+        if s > 1:
+            lref[v] = lref[v + 1]
+        size[parent[v]] += s
+    lref[0] = lref[1]
+    end = [v + s for v, s in enumerate(size)]
+    if not all(map(le, islice(end, 1, None), gather(end, parent[1:]))):
+        raise ContainerError("a node outside its parent's id range: node "
+                             "ids are not a preorder")
+    return size, end, lref
+
+
+def _cums_and_children(parent: array, skip: array, sym: array,
+                       size: list[int]) -> tuple[array, list]:
+    """Top-down, in id order: cumulative skips and child maps; no two
+    children of a node may share a symbol."""
+    count = len(parent)
+    cum = [0] * count
+    children = [{} if s > 1 else NO_CHILDREN for s in size]
+    for v, par, s, c in zip(range(1, count), islice(parent, 1, None),
+                            islice(skip, 1, None), islice(sym, 1, None)):
+        cum[v] = cum[par] + s
+        children[par][c] = v
+    if sum(map(len, children)) != count - 1:
+        raise ContainerError("two children of one node share a symbol")
+    try:
+        return array("i", cum), children
+    except OverflowError:
+        raise ContainerError("a path longer than the text") from None
+
+
+def _set_reporting_range(index: SuffixIndex, size: list[int],
+                         end: list[int]) -> None:
+    """``leaf_pos``, ``leaf_lo`` and ``leaf_hi`` as finalize sets them:
+    in preorder the leaves come in leaf order, so a node's slice starts
+    at the count of reported leaves before it and ends at the count
+    before the id just past its subtree."""
+    n = index.base_len
+    tpos = gather(index.text_positions(), index.ref)
+    reported = [s == 1 and t <= n for s, t in zip(size, tpos)]
+    below = list(accumulate(reported, initial=0))
+    index.leaf_pos = array("i", compress(tpos, reported))
+    index.leaf_lo = array("i", below[:-1])
+    index.leaf_hi = array("i", gather(below, end))
+
+
+def _check_labels(index: SuffixIndex, leaves: list[int], sym: array) -> None:
     """Every leaf holds a suffix ref and sits at that suffix's depth
     within its subsequence, and every edge's symbol is the one its child's
     leftmost leaf has at the parent's depth."""
-    cum = index.cum
-    lrefs = index.leftmost_leaf_ref
-    data = index.data
-    starts = index.seq_starts
-    ends = starts[1:] + (len(data) + 1,)        # one past each subsequence
-    try:
-        for nid, children in enumerate(index.children):
-            if children:
-                depth = cum[nid] - 1
-                for sym, child in children.items():
-                    if data[lrefs[child] + depth] != sym:
-                        raise ContainerError("node %d: edge symbol %d "
-                                             "disagrees with the text"
-                                             % (child, sym))
-                continue
-            ref = index.ref[nid]
-            if not ref or \
-                    cum[nid] != ends[bisect_right(starts, ref) - 1] - ref:
-                raise ContainerError("a leaf is not at its suffix's depth")
-    except IndexError:
-        raise ContainerError("a leaf is not at its suffix's depth") from None
+    refs = gather(index.ref, leaves)
+    # the end of each subsequence, one past it, by 1-based start index
+    ends = (0,) + index.seq_starts[1:] + (len(index.data) + 1,)
+    if not all(refs) or \
+            list(map(add, gather(index.cum, leaves), refs)) != \
+            list(map(ends.__getitem__,
+                     map(bisect_right, repeat(index.seq_starts), refs))):
+        raise ContainerError("a leaf is not at its suffix's depth")
+    # at[lref + depth] is the symbol at ``depth`` below a leftmost leaf
+    at = (0,) + index.data
+    got = gather(at, list(map(add, islice(index.leftmost_leaf_ref, 1, None),
+                              gather(index.cum, index.parent[1:]))))
+    if got != tuple(sym[1:]):
+        child = next(v for v, want, have in zip(range(1, len(sym)),
+                                                 sym[1:], got)
+                     if want != have)
+        raise ContainerError("node %d: edge symbol %d disagrees with the "
+                             "text" % (child, sym[child]))
 
 
 def _unpack_dict(rd: _Reader, owner: SuffixIndex,
@@ -284,25 +343,29 @@ def _unpack_dict(rd: _Reader, owner: SuffixIndex,
     """A dictionary block: it must map every non-root node of ``target``
     exactly once, each from its own pair."""
     (count,) = rd.take(_COUNT)
-    nodes_o, nodes_t = len(owner), len(target)
-    if count != nodes_t - 1:
+    if count != len(target) - 1:
         raise ContainerError("dictionary has %d entries for %d non-root "
-                             "nodes" % (count, nodes_t - 1))
-    d = PairDict(owner=owner, target=target)
-    entries = d.entries
-    seen = bytearray(nodes_t)
-    seen[0] = 1                                 # the root maps from no pair
-    for a, b, w in _TRIPLE.iter_unpack(rd.take_bytes(_TRIPLE.size * count)):
-        if a >= nodes_o or b >= nodes_o or w >= nodes_t:
-            raise ContainerError("dictionary entry references missing node")
-        key = a << 32 | b
-        if key in entries:
-            raise ContainerError("dictionary maps the pair (%d, %d) twice"
-                                 % (a, b))
-        if seen[w]:
-            raise ContainerError("dictionary maps node %d twice" % w)
-        seen[w] = 1
-        entries[key] = w
+                             "nodes" % (count, len(target) - 1))
+    triples = rd.take_column("I", 3 * count)
+    a, b, w = triples[0::3], triples[1::3], triples[2::3]
+    if count and (max(a) >= len(owner) or max(b) >= len(owner) or
+                  max(w) >= len(target)):
+        raise ContainerError("dictionary entry references missing node")
+    d = PairDict(owner=owner, target=target,
+                 entries={x << 32 | y: z for x, y, z in zip(a, b, w)})
+    if len(d.entries) != count:
+        seen = set()
+        for pair in zip(a, b):
+            if pair in seen:
+                raise ContainerError("dictionary maps the pair (%d, %d) "
+                                     "twice" % pair)
+            seen.add(pair)
+    mapped = bytearray(len(target))
+    mapped[0] = 1                               # the root maps from no pair
+    for node in w:
+        if mapped[node]:
+            raise ContainerError("dictionary maps node %d twice" % node)
+        mapped[node] = 1
     return d
 
 
@@ -312,7 +375,9 @@ def load_container(data: bytes) -> Container:
         raise ContainerError("bad magic (not a PQST container)")
     version, kind_code, p = rd.take(_HEAD)
     if version != VERSION:
-        raise ContainerError("unsupported container version %d" % version)
+        raise ContainerError("unsupported container version %d (this "
+                             "program reads version %d); rebuild the index "
+                             "with `parsuffix build`" % (version, VERSION))
     if kind_code not in _KIND_NAMES:
         raise ContainerError("unknown index kind code %d" % kind_code)
     kind = _KIND_NAMES[kind_code]
@@ -320,12 +385,14 @@ def load_container(data: bytes) -> Container:
         raise ContainerError("a %s container with p = %d (a trie or tree "
                              "needs 1, an interleaved index a power of two)"
                              % (kind, p))
+    digest = bytes(rd.take_bytes(_DIGEST_SIZE))
     (rawlen,) = rd.take(_RAWLEN)
-    raw = rd.take_bytes(rawlen)
+    raw = bytes(rd.take_bytes(rawlen))
 
     strides = _strides(kind, p)
     indexes = [_unpack_index(rd, raw, "trie" if kind == "trie" else "tree", k)
                for k in strides]
+    dict_start = rd.pos
     if kind == "interleaved":
         # layer k's dictionary maps pairs of its nodes to layer k/2's nodes
         dicts = {k: _unpack_dict(rd, upper, lower) for k, upper, lower
@@ -336,6 +403,11 @@ def load_container(data: bytes) -> Container:
         index = indexes[0]
         cont = Container(kind, raw, p, index, _unpack_dict(rd, index, index))
     rd.expect_end()
+    check = hashlib.sha256(raw)
+    check.update(rd.data[dict_start:])
+    if check.digest() != digest:
+        raise ContainerError("the raw text or a dictionary block does not "
+                             "match the container's digest")
     return cont
 
 

@@ -3,12 +3,14 @@
 Both index kinds share one struct-of-arrays node store
 (:class:`SuffixIndex`), after the enhanced suffix array's tables of
 Abouelhoda, Kurtz & Ohlebusch (2004): a node is an id into a few
-``array("i")`` fields and one list of child dicts, not an object.  A node's
-incoming edge is described only by its first (discriminator) character and
-its length (``skip``); the full label is recovered from the indexed symbol
-sequence via ``leftmost_leaf_ref``.  Navigation therefore compares only
-discriminator characters, and callers must verify skipped characters
-against the text before trusting a match (patricia semantics).
+``array("i")`` fields and one list of child dicts, not an object, and
+the ids of a finished index are a preorder, children in symbol order.  A
+node's incoming edge is described only by its first (discriminator)
+character and its length (``skip``); the full label is recovered from
+the indexed symbol sequence via ``leftmost_leaf_ref``.  Navigation
+therefore compares only discriminator characters, and callers must
+verify skipped characters against the text before trusting a match
+(patricia semantics).
 
 A text with k delimiters is indexed as its k interleaved subsequences
 (the interleaved layers; k = 1 is the plain text): they are concatenated
@@ -22,8 +24,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain
+from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .textmodel import Pattern, Text, interleave
 
@@ -40,7 +43,8 @@ NO_CHILDREN = MappingProxyType({})
 class SuffixIndex:
     """The nodes of a suffix trie or tree over the text's interleaved
     subsequences, one entry per node in each per-field array, indexed by
-    node id (the root is node 0):
+    node id (the root is node 0; :meth:`finalize` numbers the nodes in
+    preorder):
 
     - ``parent`` (``NO_PARENT`` for the root), ``skip`` (incoming edge
       length in symbols, 0 for the root), ``cum`` (cumulative skip, root
@@ -79,7 +83,7 @@ class SuffixIndex:
         self.children: list[dict[int, NodeId]] = [{}]
         # suffix links, built once by ancestry.build_ancestry
         self.ancestry: Optional[AncestryIndex] = None
-        # the reporting range, built by finalize()
+        # the reporting range, built by finalize() or the container loader
         self.leaf_pos = array("i")
         self.leaf_lo = array("i")
         self.leaf_hi = array("i")
@@ -122,53 +126,96 @@ class SuffixIndex:
         offset = dpos - self.seq_starts[si]          # 0-based within sequence
         return (si + 1) + offset * self.stride
 
-    def finalize(self) -> None:
-        """Sort children by symbol, recompute leftmost leaf refs and build
-        the reporting range, in one preorder walk in sorted child order.
+    def text_positions(self) -> array:
+        """The text position of each data position: ``t[d]`` for 1-based
+        data position d (delimiter tail positions map past the text), and
+        ``t[0] = base_len + 1``, also past the text, for a missing ref."""
+        k = self.stride
+        if k == 1:
+            table = array("i", range(len(self.data) + 1))
+        else:
+            ends = self.seq_starts[1:] + (len(self.data) + 1,)
+            table = array("i", [0])
+            for i, (start, end) in enumerate(zip(self.seq_starts, ends), 1):
+                table.extend(range(i, i + k * (end - start), k))
+        table[0] = self.base_len + 1
+        return table
 
-        ``leaf_pos`` lists the text positions of the reported leaves (those
-        with a suffix ref that starts in the text, not in the delimiter
-        tail) in leaf order; ``leaf_pos[leaf_lo[v]:leaf_hi[v]]`` are the
-        ones below node ``v``.  Leaves drop their empty child dicts for
-        :data:`NO_CHILDREN`, so the index is not built further after
-        this."""
+    def finalize(self) -> None:
+        """Renumber the nodes in preorder, children in symbol order, and
+        build what the walk gives: sorted child maps holding the new ids,
+        leftmost leaf refs and the reporting range.
+
+        In preorder a parent's id is below its children's, each subtree
+        is one contiguous id range, and a node's first child is the next
+        id.  ``leaf_pos`` lists the text positions of the reported leaves
+        (those with a suffix ref that starts in the text, not in the
+        delimiter tail) in leaf order; ``leaf_pos[leaf_lo[v]:leaf_hi[v]]``
+        are the ones below node ``v``.  Leaves drop their empty child
+        dicts for :data:`NO_CHILDREN`, so the index is not built further
+        after this."""
         children = self.children
         ref = self.ref
-        lref = self.leftmost_leaf_ref
+        n = len(children)
+        tpos = self.text_positions()
         base_len = self.base_len
-        # a plain index's data positions are its text positions
-        to_text = None if self.stride == 1 else self.data_pos_to_text_pos
-        lo = array("i", bytes(4 * len(children)))
+        order = [ROOT]                 # old id of each new id
+        parent = [NO_PARENT]           # by new id
+        lo = array("i", bytes(4 * n))
         hi = array("i", lo)
+        lref = array("i", lo)
         pos = array("i")
-        pending: list[NodeId] = []    # visited, leftmost leaf not yet seen
-        stack = [ROOT]
-        while stack:
-            nid = stack.pop()
-            if nid < 0:               # ~v: v's subtree is done
-                hi[~nid] = len(pos)
-                continue
-            lo[nid] = len(pos)
-            kids = children[nid]
-            if kids:
-                if len(kids) > 1:
-                    kids = children[nid] = dict(sorted(kids.items()))
-                pending.append(nid)
-                stack.append(~nid)
-                stack.extend(reversed(kids.values()))
-                continue
-            children[nid] = NO_CHILDREN
-            r = ref[nid]
-            if r:
-                lref[nid] = r
-                tpos = to_text(r) if to_text else r
-                if tpos <= base_len:
-                    pos.append(tpos)
-            hi[nid] = len(pos)
-            for up in pending:
-                lref[up] = lref[nid]
-            pending.clear()
+        pending = [ROOT]              # visited, leftmost leaf not yet seen
+        # The node being expanded: its new id, its child map, the one
+        # being filled with new ids, and its symbols still to visit; the
+        # frames hold the same for its ancestors.
+        top, kids, new_kids = ROOT, children[ROOT], {}
+        new_children: list[dict[int, NodeId]] = [new_kids]
+        syms = iter(sorted(kids))
+        frames = []
+        while True:
+            for sym in syms:
+                old = kids[sym]
+                nid = new_kids[sym] = len(order)
+                order.append(old)
+                parent.append(top)
+                lo[nid] = len(pos)
+                grand = children[old]
+                children[old] = NO_CHILDREN   # the old map is freed once walked
+                if grand:
+                    frames.append((top, kids, new_kids, syms))
+                    top, kids, new_kids = nid, grand, {}
+                    new_children.append(new_kids)
+                    syms = iter(sorted(grand) if len(grand) > 1 else grand)
+                    pending.append(nid)
+                    break
+                new_children.append(NO_CHILDREN)
+                r = lref[nid] = ref[old]
+                if tpos[r] <= base_len:
+                    pos.append(tpos[r])
+                hi[nid] = len(pos)
+                for up in pending:
+                    lref[up] = r
+                pending.clear()
+            else:
+                hi[top] = len(pos)
+                if not frames:
+                    break
+                top, kids, new_kids, syms = frames.pop()
+        self.parent = array("i", parent)
+        self.skip, self.cum, self.ref = (array("i", gather(field, order))
+                                         for field in (self.skip, self.cum, ref))
+        self.children = new_children
+        self.leftmost_leaf_ref = lref
         self.leaf_pos, self.leaf_lo, self.leaf_hi = pos, lo, hi
+
+
+def gather(values: Sequence[int] | Mapping[int, int],
+           ids: Sequence[int]) -> tuple[int, ...]:
+    """``values[i]`` for each i in ``ids``, read in one C-level call."""
+    if len(ids) > 1:
+        return itemgetter(*ids)(values)
+    return tuple(values[i] for i in ids)
 
 
 # -- construction ------------------------------------------------------
@@ -226,8 +273,8 @@ def _insert_all_suffixes(idx: SuffixIndex) -> None:
     minus its first character by skip/count (one comparison per node, the
     string is known to be present), and then scans character by
     character.  Every step creates the same nodes in the same order as
-    inserting each suffix from the root would, so node ids do not depend
-    on the method.  Suffix links are kept only while building.
+    inserting each suffix from the root would, so the finished tree does
+    not depend on the method.  Suffix links are kept only while building.
     """
     parent = idx.parent
     cum = idx.cum

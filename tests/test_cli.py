@@ -29,10 +29,10 @@ def test_build_reports_node_count(tmp_path, abra_file, capsys):
 
 
 @pytest.mark.parametrize("kind,p,line", [
-    ("tree", 1, "index=tree nodes=17 dict_entries=16 bytes=567"),
-    ("trie", 1, "index=trie nodes=67 dict_entries=66 bytes=2167"),
+    ("tree", 1, "index=tree nodes=17 dict_entries=16 bytes=503"),
+    ("trie", 1, "index=trie nodes=67 dict_entries=66 bytes=1803"),
     ("interleaved", 4, "index=interleaved nodes=55 dict_entries=34 "
-                       "bytes=1551"),
+                       "bytes=1271"),
 ])
 def test_build_summary_line(tmp_path, abra_file, capsys, kind, p, line):
     """Nodes and dictionary entries summed over every block: the
@@ -233,7 +233,9 @@ def test_query_rejects_tree_without_suffix_links(tmp_path, capsys):
     root's child for 'b' is relabelled 'c', so "ab" has no link target."""
     from parsuffix.serial import build_container, dump_container
     blob = bytearray(dump_container(build_container(b"abab", "tree")))
-    sym_b = 4 + 6 + 8 + 4 + 8 + 14 + 6          # root's second child symbol
+    # the sym column's entry for node 4, the root's child for 'b': after
+    # the header, the text, the block head and three columns of 8 nodes
+    sym_b = 4 + 6 + 32 + 8 + 4 + 8 + 3 * 4 * 8 + 2 * 4
     assert blob[sym_b] == ord("b")
     blob[sym_b] = ord("c")
     path = tmp_path / "bad.idx"

@@ -18,15 +18,19 @@ from parsuffix.suffixindex import NO_PARENT
 from parsuffix.textmodel import Pattern
 
 from conftest import ABRA, fibonacci_text, naive_positions
+from test_construction import IDS, TEXTS, TRIE_N
 
 
 def same_nodes(a, b):
     assert len(a) == len(b)
     for nid in range(len(a)):
         assert (a.parent[nid], a.skip[nid], a.cum[nid], a.ref[nid],
-                a.children[nid], a.leftmost_leaf_ref[nid]) == \
+                a.children[nid], a.leftmost_leaf_ref[nid], a.leaf_lo[nid],
+                a.leaf_hi[nid]) == \
                (b.parent[nid], b.skip[nid], b.cum[nid], b.ref[nid],
-                b.children[nid], b.leftmost_leaf_ref[nid])
+                b.children[nid], b.leftmost_leaf_ref[nid], b.leaf_lo[nid],
+                b.leaf_hi[nid])
+    assert a.leaf_pos == b.leaf_pos
 
 
 @pytest.mark.parametrize("kind,p", [("trie", 1), ("tree", 1),
@@ -45,6 +49,43 @@ def test_roundtrip_structure(kind, p):
     else:
         same_nodes(cont.index, again.index)
         assert cont.dct.entries == again.dct.entries
+
+
+def assert_preorder(index):
+    """Node ids are the preorder of a walk that visits children in symbol
+    order, and each child map agrees with its children's parent field."""
+    order, stack = [], [0]
+    while stack:
+        nid = stack.pop()
+        order.append(nid)
+        children = index.children[nid]
+        assert list(children) == sorted(children), nid
+        assert all(index.parent[c] == nid for c in children.values()), nid
+        stack.extend(reversed(children.values()))
+    assert order == list(range(len(index)))
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
+def test_preorder_ids_and_exact_round_trip(raw):
+    """Built and loaded indexes agree on every field (the build walk and
+    the loader's column passes derive them two ways), ids are a preorder,
+    and dump -> load -> dump gives the same bytes: tree, trie and
+    interleaved p = 1, 2, 4, 8 on every text of ``test_construction``."""
+    conts = [build_container(raw, "tree"),
+             build_container(raw[:TRIE_N], "trie")]
+    if raw:
+        conts += [build_container(raw, "interleaved", p) for p in (1, 2, 4, 8)]
+    for cont in conts:
+        blob = dump_container(cont)
+        again = load_container(blob)
+        assert dump_container(again) == blob
+        (built, built_dicts), (loaded, loaded_dicts) = \
+            cont.blocks(), again.blocks()
+        for a, b in zip(built, loaded, strict=True):
+            assert_preorder(a)
+            same_nodes(a, b)
+        for a, b in zip(built_dicts, loaded_dicts, strict=True):
+            assert a.entries == b.entries
 
 
 def test_roundtrip_preserves_answers(tmp_path):
@@ -96,21 +137,21 @@ def test_every_truncation_rejected(kind, p):
     assert time.perf_counter() - t0 < 30.0
 
 
-# SHA-256 of dump_container, pinned before the nodes moved from one
-# object each into per-field arrays: container v1 and node ids survive.
+# SHA-256 of dump_container, pinned when container v2 (columns, node ids
+# in preorder, a digest over the raw text and the dictionaries) came in.
 GOLDEN_SHA256 = {
     ("abra", "tree"):
-        "056b184963a68bcd3ed4969b9426d960f9a9114a76157d584dbfe29513fb07e0",
+        "294836c3d626ffd59e9167a538882ebd4185d9d8587c496c12cafc33e9a07a8a",
     ("abra", "trie"):
-        "74efc6da61aed63d16a59083d60e3085eab3ba17e5d97497a4d353d32840e169",
+        "89b0fe08ff426d0a0695565382eb587d63b82179eebc626a5c40907efcfa1a74",
     ("abra", "interleaved"):
-        "3c36b9232d7a17fff300cbc7c5b8edbd79f7d223a686aa613b1cb2cc07f63627",
+        "de785fb222defb8b82cca01e0e696a8e4347151ec2b3a7bbdc50dfcdefa48891",
     ("fibonacci-300", "tree"):
-        "e1fd84654b5833655349640e451bb96accd62df4952ff8bb0fa04cc33d2744e1",
+        "62b04b079d02919b08897530c91833f66fa65e1a3075416ca63094325eef2a6d",
     ("fibonacci-300", "trie"):
-        "1ac0d1762e390c5576238426975014a7da942f9d91b21aeb6cbcc07464fe83e6",
+        "fe861dc266f7fb9393ff3c5bdcac6a3b5af76cd3a5e6940de5bdb16f19c935fb",
     ("fibonacci-300", "interleaved"):
-        "5c129346c562dee528ad0401079a62d161f4daa29c0e2c531ba5ceede2851405",
+        "a52ded10aa9a3dad4339ed1bca2ee8592125537ddb0d36a55d704a9c84b5e7e6",
 }
 
 
@@ -128,7 +169,7 @@ def test_unknown_kind_and_version():
     blob[4] = 99                                   # version byte
     with pytest.raises(ContainerError):
         load_container(bytes(blob))
-    blob[4] = 1
+    blob[4] = 2
     blob[5] = 7                                    # kind byte
     with pytest.raises(ContainerError):
         load_container(bytes(blob))
@@ -154,11 +195,15 @@ def test_container_kind_validation():
         build_container(b"AB", "suffix-automaton")
 
 
-# Offsets into build_container(b"abab", "tree"): header (4 + 6 + 8), the
-# raw text (4), the index block's stride and count (8), then node 0's
-# fields (14) and its first (symbol u16, child id u32) pair.
-ABAB_NODE0 = 4 + 6 + 8 + 4 + 8
-ABAB_ROOT_CHILD0 = ABAB_NODE0 + 14 + 2
+# Offsets into build_container(b"abab", "tree"): the header (4 + 6 + 32
+# + 8), the raw text (4), the index block's stride and count (8), then
+# its parent, skip and ref columns (4 B per node each) and its sym column
+# (2 B per node).  Its 8 nodes in preorder: 0 the root, 1 "ab" with the
+# leaves 2 (abab$) and 3 (ab$), 4 "b" with the leaves 5 (bab$) and 6
+# (b$), and 7 the leaf $.
+ABAB_COLUMNS = 4 + 6 + 32 + 8 + 4 + 8
+ABAB_NODES = 8
+COLUMN_FMT = {"parent": "<i", "skip": "<I", "ref": "<I", "sym": "<H"}
 
 
 def abab_blob():
@@ -170,35 +215,77 @@ def patched(blob, offset, fmt, value):
     return bytes(blob)
 
 
-@pytest.mark.parametrize("child", [0, 999], ids=["cycle", "out-of-range"])
+def column_offset(column, nid):
+    """Byte offset of node ``nid``'s value in one column of the abab
+    blob."""
+    return ABAB_COLUMNS + 4 * ABAB_NODES * list(COLUMN_FMT).index(column) \
+        + struct.calcsize(COLUMN_FMT[column]) * nid
+
+
+def abab_patched(changes):
+    """The abab blob with (column, node, value) changes."""
+    blob = abab_blob()
+    for column, nid, value in changes:
+        struct.pack_into(COLUMN_FMT[column], blob, column_offset(column, nid),
+                         value)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("child", [1, 999], ids=["cycle", "out-of-range"])
 def test_bad_child_id_rejected(child):
-    blob = patched(abab_blob(), ABAB_ROOT_CHILD0, "<I", child)
+    """Node 1 named as its own parent, or a parent id past the block."""
     with pytest.raises(ContainerError):
-        load_container(blob)
-
-
-def _node_offset(blob, nid):
-    """Byte offset of node ``nid``'s fixed fields in the abab blob."""
-    off = ABAB_NODE0
-    for _ in range(nid):
-        nchild = struct.unpack_from("<H", blob, off + 12)[0]
-        off += 14 + 6 * nchild
-    return off
+        load_container(abab_patched([("parent", 1, child)]))
 
 
 def test_parent_disagreement_rejected():
-    blob = abab_blob()
-    child = struct.unpack_from("<I", blob, ABAB_ROOT_CHILD0)[0]
-    other = 2 if child == 1 else 1
+    """Leaf 5 moved from node 4 to the root."""
     with pytest.raises(ContainerError):
-        load_container(patched(blob, _node_offset(blob, child), "<I", other))
+        load_container(abab_patched([("parent", 5, 0)]))
 
 
 def test_empty_edge_rejected():
-    blob = abab_blob()
-    child = struct.unpack_from("<I", blob, ABAB_ROOT_CHILD0)[0]
     with pytest.raises(ContainerError):
-        load_container(patched(blob, _node_offset(blob, child) + 4, "<I", 0))
+        load_container(abab_patched([("skip", 1, 0)]))
+
+
+def test_parent_after_child_rejected():
+    """Leaf 2 hung below leaf 3: still one tree rooted at node 0, but a
+    parent id after its child's."""
+    with pytest.raises(ContainerError, match="at or after"):
+        load_container(abab_patched([("parent", 2, 3)]))
+
+
+def test_node_outside_its_parents_range_rejected():
+    """Leaf 5 below leaf 3 and leaf 6 below leaf 5: every parent id is
+    below its child's and every node's id is inside its parent's range,
+    but node 5's range (5 and 6) runs past node 3's (3 to 5), so the ids
+    are no preorder: node 3's subtree is not contiguous."""
+    with pytest.raises(ContainerError, match="outside its parent"):
+        load_container(abab_patched([("parent", 5, 3), ("parent", 6, 5)]))
+
+
+def test_siblings_sharing_a_symbol_rejected():
+    """The root's child $ relabelled 'a', the symbol of its sibling 1."""
+    with pytest.raises(ContainerError, match="share a symbol"):
+        load_container(abab_patched([("sym", 7, ord("a"))]))
+
+
+def test_version_1_rejected_with_rebuild_hint():
+    """Version 1 stored node ids in build order; it is not read."""
+    blob = abab_blob()
+    blob[4] = 1
+    with pytest.raises(ContainerError, match="rebuild"):
+        load_container(bytes(blob))
+
+
+def test_raw_text_change_caught_by_digest():
+    """ABRACADABRA with its second A made X keeps every edge symbol and
+    leaf depth of the tree consistent; only the digest catches it."""
+    blob = bytearray(dump_container(build_container(ABRA, "tree")))
+    blob[4 + 6 + 32 + 8 + 3] = ord("X")
+    with pytest.raises(ContainerError, match="digest"):
+        load_container(bytes(blob))
 
 
 def test_trailing_bytes_rejected():
@@ -238,20 +325,40 @@ def test_tree_missing_a_suffix_rejected():
 
 def split_first_long_edge(index):
     """Split the first edge of two symbols or more after its first symbol
-    by a new node with one child, appended as the last id; returns it."""
-    child = next(nid for nid in range(1, len(index)) if index.skip[nid] > 1)
-    parent, lref = index.parent[child], index.leftmost_leaf_ref[child]
+    by a new node with one child.  The new node takes the child's id and
+    the ids from there on move up by one, so they stay a preorder; returns
+    the new node's id."""
+    mid = next(nid for nid in range(1, len(index)) if index.skip[nid] > 1)
+    parent, lref = index.parent[mid], index.leftmost_leaf_ref[mid]
     depth = index.cum[parent]
-    mid = len(index)
+    index.children = [{sym: shifted(c, mid) for sym, c in children.items()}
+                      if children else children
+                      for children in index.children]
+    for nid, par in enumerate(index.parent):
+        index.parent[nid] = shifted(par, mid)
     for field, value in ((index.parent, parent), (index.skip, 1),
                          (index.cum, depth + 1), (index.ref, 0),
-                         (index.leftmost_leaf_ref, lref)):
-        field.append(value)
-    index.children.append({index.data[lref + depth]: child})
+                         (index.leftmost_leaf_ref, lref),
+                         (index.children, {index.data[lref + depth]: mid + 1})):
+        field.insert(mid, value)
     index.children[parent][index.data[lref - 1 + depth]] = mid
-    index.parent[child] = mid
-    index.skip[child] -= 1
+    index.parent[mid + 1] = mid
+    index.skip[mid + 1] -= 1
     return mid
+
+
+def shifted(nid, mid):
+    """A node id after a new node took id ``mid``."""
+    return nid + (nid >= mid)
+
+
+def shift_pairs(d, mid):
+    """Renumber a pair dictionary's nodes after a new node took id
+    ``mid`` in the index its pairs (and, if ``d.target`` is that index,
+    its values) refer to."""
+    moved = d.target is d.owner
+    d.entries = {shifted(a, mid) << 32 | shifted(b, mid):
+                 shifted(w, mid) if moved else w for (a, b), w in d.pairs()}
 
 
 def one_child_tree_container():
@@ -260,6 +367,7 @@ def one_child_tree_container():
     a loader without the branching check took it."""
     cont = build_container(ABRA, "tree")
     mid = split_first_long_edge(cont.index)
+    shift_pairs(cont.dct, mid)
     cont.dct.entries[mid << 32] = mid
     return cont
 
@@ -273,7 +381,8 @@ def test_tree_node_with_one_child_rejected(kind):
         cont = one_child_tree_container()
     else:
         cont = build_container(ABRA, kind, 2)
-        split_first_long_edge(cont.layered.layers[2].tree)
+        shift_pairs(cont.layered.dicts[2],
+                    split_first_long_edge(cont.layered.layers[2].tree))
     with pytest.raises(ContainerError, match="one child"):
         load_container(dump_container(cont))
 
@@ -364,27 +473,31 @@ def _answers_like_the_oracle(cont):
 @pytest.mark.parametrize("kind,p", [("tree", 1), ("trie", 1),
                                     ("interleaved", 4)])
 def test_single_byte_changes_rejected_or_harmless(kind, p):
-    """Seeded single-byte changes to the header fields after the magic
-    and to the index blocks: each mutant is rejected with
-    ``ContainerError`` or answers exactly as the oracle.  The raw text
-    and the dictionary pairs are not covered: a changed text symbol can
-    keep every edge consistent, and a changed pair needs a checksum."""
+    """Seeded single-byte changes.  One to the header fields after the
+    magic or to the index blocks is rejected with ``ContainerError`` or
+    answers exactly as the oracle.  One to the raw text or the dictionary
+    blocks, where a changed text symbol can keep every edge consistent
+    and a changed pair can keep every count, never loads: the digest
+    covers both."""
     cont = build_container(FLIP_TEXT, kind, p)
     blob = dump_container(cont)
     trees = [cont.index] if cont.index else \
         [layer.tree for layer in cont.layered.layers.values()]
-    blocks = 4 + 14 + len(FLIP_TEXT)
-    # an index block: stride and count, then 14 bytes per node and 6 per
-    # child entry, one entry per non-root node
-    end = blocks + sum(8 + 20 * len(t) - 6 for t in trees)
-    offsets = list(range(4, 18)) + list(range(blocks, end))
+    text = 4 + 6 + 32 + 8
+    blocks = text + len(FLIP_TEXT)
+    # an index block: stride and count, then 14 bytes per node
+    dicts = blocks + sum(8 + 14 * len(t) for t in trees)
+    checked = list(range(4, text)) + list(range(blocks, dicts))
+    digested = list(range(text, blocks)) + list(range(dicts, len(blob)))
     rng = random.Random(9)
-    for _ in range(300):
-        off = rng.choice(offsets)
-        mutant = bytearray(blob)
-        mutant[off] = (mutant[off] + rng.randrange(1, 256)) % 256
-        try:
-            got = load_container(bytes(mutant))
-        except ContainerError:
-            continue
-        _answers_like_the_oracle(got)
+    for offsets in (checked, digested):
+        for _ in range(300):
+            off = rng.choice(offsets)
+            mutant = bytearray(blob)
+            mutant[off] = (mutant[off] + rng.randrange(1, 256)) % 256
+            try:
+                got = load_container(bytes(mutant))
+            except ContainerError:
+                continue
+            assert offsets is checked, off
+            _answers_like_the_oracle(got)
