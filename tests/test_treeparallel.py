@@ -1,6 +1,8 @@
 """Two-lane patricia-tree query: correctness and accounting bounds."""
 
+import hashlib
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -178,3 +180,51 @@ def test_unary_probes_linear():
                               led)
         assert res.positions == tuple(range(1, 4000 - m + 2))
         assert led.probes <= 2 * m + 2, (m, led.probes)
+
+
+# SHA-256 of test_answers_and_ledgers_pinned's calls as the per-step sweep
+# driver answered them; a rewrite of the sweep must keep it
+PINNED_SHA256 = ("dc1b52cb29e123b04b3b806717ee1566"
+                 "ca7662013ca01d5d90de44b8a0a20964")
+
+
+def _pin_cases():
+    """Seeded adversarial and random texts with present, mutated and random
+    patterns up to m = 300, then every binary text of length <= 8 against
+    every {a, b} pattern of length 2 to 5."""
+    rng = random.Random(1509)
+    for raw in (b"a" * 700, fibonacci_text(760), periodic_text(rng, 650, 7),
+                random_text(rng, 800, 2), random_text(rng, 600, 4)):
+        pats = []
+        for k in range(40):
+            m = rng.randrange(2, 301)
+            i = rng.randrange(0, len(raw) - m + 1)
+            q = bytearray(raw[i:i + m])
+            if k % 3 == 1:
+                q[rng.randrange(m)] ^= 1 << rng.randrange(2)
+            elif k % 3 == 2:
+                q = random_text(rng, m, 2)
+            pats.append(bytes(q))
+        yield raw, pats
+    binary = [bytes(97 + (x >> i & 1) for i in range(n))
+              for n in range(1, 9) for x in range(1 << n)]
+    short = [q for q in binary if 2 <= len(q) <= 5]
+    for raw in binary:
+        yield raw, short
+
+
+def test_answers_and_ledgers_pinned():
+    """Positions, node, per-lane counters and lane clocks of every call
+    hash to the value the per-step driver produced."""
+    h = hashlib.sha256()
+    for raw, pats in _pin_cases():
+        tree = build_suffix_tree(make_text(raw, 1))
+        anc = build_ancestry(tree)
+        dct = build_tree_halving_dict(tree)
+        for q in pats:
+            led = StepLedger()
+            res = par_query_tree2(tree, anc, dct, Pattern.from_bytes(q), led)
+            lanes = sorted((k, astuple(c)) for k, c in led.lanes.items())
+            h.update(repr((res.positions, res.node, lanes,
+                           sorted(led.lane_time.items()))).encode())
+    assert h.hexdigest() == PINNED_SHA256
