@@ -8,7 +8,7 @@ matched strings always concatenate to a prefix of the query.  The pair of
 current nodes is probed in the halving dictionary as the split point
 sweeps right; the deepest verified hit is the query's node.
 
-The sweep keeps four invariants (:class:`_TwoLaneDriver` gives details):
+The sweep keeps four invariants (:func:`_sweep` gives details):
 
 1. Lane 2 always stands on a node: an internal node's suffix link is an
    internal node one symbol shorter.
@@ -48,7 +48,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .ancestry import AncestryIndex, level_ancestor_sl
-from .halving import PairDict, probe
+from .halving import PairDict
 from .lanes import Mapper, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
@@ -58,20 +58,15 @@ from .textmodel import Pattern
 from .trieparallel import ParameterError
 
 
-class _Absent(Exception):
-    """Navigation fell off an edge: the pattern cannot occur."""
-
-
-class _LeafExit(Exception):
-    """A lane reached a leaf: at most one occurrence, at ``candidate``."""
-
-    def __init__(self, candidate: int) -> None:
-        self.candidate = candidate
-
-
-class _TwoLaneDriver:
+def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
+           pat: Pattern, ledger: StepLedger,
+           lane1: tuple[list[tuple[NodeId, int]], bool]
+           ) -> tuple[set[NodeId], Optional[NodeId], Optional[int]]:
     """Runs the probe sweep against lane 1's walk of Q[1 .. half]: the
     path :func:`descend` returned and whether it covers the subquery.
+    Returns the dictionary hits, lane 1's last node (None when the
+    pattern cannot occur) and, when a lane reached a leaf, the one
+    candidate position (else None).
 
     Lane 2's string is Q[anchor+1 .. anchor+cum2].  Four invariants hold:
 
@@ -85,191 +80,79 @@ class _TwoLaneDriver:
     3. No probe has the root as its left part: probes start at alignment,
        and pair a lane-1 node of cum >= anchor >= start2 >= 1.
     4. Lane 1's clock is min(cum1, half) past its start: lane 1 charges
-       only its edges, one after another, cut at half."""
+       only its edges, one after another, cut at half.
 
-    def __init__(self, tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
-                 pat: Pattern, ledger: StepLedger,
-                 lane1: tuple[list[tuple[NodeId, int]], bool]) -> None:
-        self.tree = tree
-        self.cum, self.parent = tree.cum, tree.parent
-        self.children = tree.children
-        self.anc = anc
-        self.dct = dct
-        self.pat = pat
-        self.ledger = ledger
-        self.walk1, self.walk1_covers = lane1
-        self.next1 = 1                       # walk1 index of lane 1's next node
-        self.charged1 = 0                    # lane-1 edges charged so far
-        self.t1_start = ledger.now("lane1")
-        self.m = m = pat.m
-        self.half = (m + 1) // 2
-        self.start2 = (m + 3) // 4          # Q2 = Q[start2+1 .. m]
-        self.t_init = self.start2 + 1
-        self.b1, self.cum1 = ROOT, 0
-        self.b2, self.anchor = ROOT, self.start2
-        self.hits: set[NodeId] = set()
-        self.covered = False                 # some hit covers the whole query
-        self.probed: set[tuple[NodeId, NodeId]] = set()
-        self.aligned = False
+    Probes pair lane 1's node a with lane 2's node b and those ancestors
+    of b that can be stored as a's right part: after a shorten, the stored
+    right part may be any prefix of lane 2's covered string, but only a
+    window of them.  The window follows from
+    :func:`build_tree_halving_dict`'s rule, and a container stores that
+    builder's entries, so loaded dictionaries keep it too.  The pair
+    (b1, b2) stored for a node x with parent u != ROOT splits x's shortest
+    string, of length L = cum(u) + 1.  With A = cum(b1) and
+    P = cum(parent(b1)), b1 is the shallowest node covering half of it,
+    so P < ceil(L/2) <= A, that is 2P < L <= 2A; and parent(b2) is the
+    suffix-link level ancestor of u at depth A, of cum L - 1 - A.  Hence
 
-    # -- lane helpers ---------------------------------------------------
+        2P - A <= cum(parent(b2)) <= A - 1.
 
-    @property
-    def cum2(self) -> int:
-        return self.cum[self.b2]
+    A child x of the root is stored as (x, ROOT): the right part ROOT
+    needs P = 0, and b1 is never ROOT.  Cums fall up b's root path, so
+    the walk stops once a parent's cum drops below 2P - A.
 
-    @property
-    def ready2(self) -> int:
-        """When a lane-2 step reading lane 1's current node may run."""
-        return self.t1_start + min(self.cum1, self.half) + 1
+    So a sweep is linear in m.  Every right part probed against a (in the
+    walks and in the lookaheads) is a distinct node on one root path,
+    lane 2's path from cum(a), with its parent's cum in the window and
+    below m - cum(a).  Lane 1's nodes a_1 .. a_k run down one path, so
+    the windows of a_1 .. a_(k-1) hold at most 2 cum(a_(k-1)) cums in
+    all and a_k's at most m - cum(a_k); with the one ROOT probe and
+    cum(a_(k-1)) < ceil(m/2) that is at most m + ceil(m/2) - 1 probes,
+    within the 2m + 2 the harness checks.
 
-    def _lane1_peek_edge(self) -> Optional[NodeId]:
-        """Lane 1's next node, None once its subquery is covered.  An edge
-        is charged when first peeked, so only edges the sweep reaches
-        count as work."""
-        k = self.next1
-        if k == len(self.walk1):
-            if not self.walk1_covers:
-                raise _Absent
-            return None
-        if self.charged1 < k:
-            chars = min(self.walk1[k][1], self.half) - self.walk1[k - 1][1]
-            self.ledger.charge("lane1", "nav_chars", chars)
-            self.charged1 = k
-        return self.walk1[k][0]
+    The sweep keeps its counts and lane 2's clock in local variables and
+    charges the ledger once per lane when it ends, exits included.  Lane
+    1's edges are charged as peeked, so only edges the sweep reaches
+    count, and their charges telescope to min(cum, half) of the last
+    peeked edge.  Lane 2's clock runs t2 = max(t2, ready) + amount.  Each
+    distinct probed pair is one probe.  The per-step code spells min and
+    max as conditional expressions: the calls cost more than the step."""
+    cum, parent, children, ref = tree.cum, tree.parent, tree.children, \
+        tree.ref
+    chars, m = pat.chars, pat.m
+    walk1, covers1 = lane1
+    n1 = len(walk1)
+    half = (m + 1) // 2
+    anchor = (m + 3) // 4                # lane 2 starts at Q[start2 + 1]
+    t_init = anchor + 1
+    t1 = ledger.now("lane1")
+    t2 = t2_start = ledger.now("lane2")
+    b1, cum1 = ROOT, 0
+    next1 = 1                            # walk1 index of lane 1's next node
+    peeked1 = 0                          # walk1 index of its last charged edge
+    b2, cum2 = ROOT, 0
+    nav2 = shortens = 0
+    hits: set[NodeId] = set()
+    entries = dct.entries                # keyed a << 32 | b, as probe() does
+    probed: set[int] = set()             # pairs probed, keyed alike
+    covered = False                      # some hit covers the whole query
+    aligned = False
 
-    def _lane1_advance(self, reconcile: bool = True) -> None:
-        """Move lane 1 onto the edge the caller has peeked."""
-        self.b1, self.cum1 = self.walk1[self.next1]
-        self.next1 += 1
-        if not self.children[self.b1]:
-            raise _LeafExit(self.tree.ref[self.b1])
-        if reconcile:
-            self._apply_overlap()
+    def lookup(a: NodeId, b: NodeId) -> None:
+        nonlocal covered
+        key = a << 32 | b
+        if key not in probed:
+            probed.add(key)
+            w = entries.get(key)
+            if w is not None:
+                hits.add(w)
+                if cum[w] >= m:
+                    covered = True
 
-    def _apply_overlap(self) -> None:
-        """Shorten lane 2 from the left by lane 1's new edge, which now
-        overlaps it (invariant 2), or align on first reaching it."""
-        if not self.aligned:
-            if self.cum1 >= self.anchor:
-                self._align()
-            return
-        ov = self.cum1 - self.anchor
-        self.anchor = self.cum1
-        if ov >= self.cum2:
-            # lane 1 covers lane 2's whole string; lane 2 restarts after it
-            self.b2 = ROOT
-            return
-        self.b2 = level_ancestor_sl(self.anc, self.b2, ov)
-        self.ledger.charge("lane2", "shortens", 1, ready=self.ready2)
-        self._probe_ancestry(self.b1, self.b2)
-
-    def _align(self) -> None:
-        """First moment lane 1 reaches lane 2's anchored start: replay the
-        shortening for every lane-1 node between the anchor and the current
-        front, probing each replayed state (splits in that band would
-        otherwise be passed without a probe)."""
-        base_b2, base_anchor = self.b2, self.anchor
-        base_cum2, e2 = self.cum2, self.anchor + self.cum2
-        for node1, v in self.walk1[:self.next1]:
-            if v < base_anchor:
-                continue
-            d = v - base_anchor
-            if d == 0:
-                node_v = base_b2
-            elif d < base_cum2:
-                node_v = level_ancestor_sl(self.anc, base_b2, d)
-                self.ledger.charge("lane2", "shortens", 1, ready=self.ready2)
-            else:
-                node_v = ROOT
-            self._probe_ancestry(node1, node_v)
-            # lane 2's next node may complete this split's stored pair
-            if e2 < self.m:
-                nxt = self.children[node_v].get(self.pat.at(e2 + 1))
-                if nxt is not None:
-                    self._probe(node1, nxt)
-        # the loop ends at lane 1's node, v == cum1
-        self.b2, self.anchor = node_v, self.cum1
-        self.aligned = True
-
-    def _lane2_next(self) -> Optional[NodeId]:
-        """Lane 2's child for the next query symbol; None at the end."""
-        e2 = self.anchor + self.cum2
-        if e2 >= self.m:
-            return None
-        nxt = self.children[self.b2].get(self.pat.at(e2 + 1))
-        if nxt is None:
-            raise _Absent
-        return nxt
-
-    def _lane2_take(self, node: NodeId, ready: int) -> None:
-        chars = min(self.tree.skip[node], self.m - self.anchor - self.cum2)
-        self.ledger.charge("lane2", "nav_chars", chars, ready=ready)
-        self.b2 = node
-        if not self.children[node]:
-            raise _LeafExit(self.tree.ref[node] - self.anchor)
-        if self.aligned:
-            self._probe_ancestry(self.b1, self.b2)
-
-    # -- probing --------------------------------------------------------
-
-    def _probe(self, a: NodeId, b: NodeId) -> None:
-        """Probe (a, b) unless it lies outside the window of stored pairs
-        (see :meth:`_probe_ancestry`)."""
-        cum, parent = self.cum, self.parent
-        pa = parent[a]
-        if b == ROOT:
-            if pa != ROOT:
-                return
-        elif not 2 * cum[pa] - cum[a] <= cum[parent[b]] < cum[a]:
-            return
-        self._lookup(a, b)
-
-    def _lookup(self, a: NodeId, b: NodeId) -> None:
-        """One dictionary probe of (a, b), charged once per pair."""
-        if (a, b) in self.probed:
-            return
-        self.probed.add((a, b))
-        w = probe(self.dct, a, b)
-        self.ledger.charge("probe", "probes", 1, timed=False)
-        if w is not None:
-            self.hits.add(w)
-            if self.cum[w] >= self.m:
-                self.covered = True
-
-    def _probe_ancestry(self, a: NodeId, b: NodeId) -> None:
-        """Probe a against b and those ancestors of b that can be stored as
-        a's right part: after a shorten, the stored right part may be any
-        prefix of lane 2's covered string, but only a window of them.
-
-        The window follows from :func:`build_tree_halving_dict`'s rule,
-        and a container stores that builder's entries, so loaded
-        dictionaries keep it too.  The pair (b1, b2) stored for a node x with
-        parent u != ROOT splits x's shortest string, of length
-        L = cum(u) + 1.  With A = cum(b1) and P = cum(parent(b1)), b1 is
-        the shallowest node covering half of it, so P < ceil(L/2) <= A,
-        that is 2P < L <= 2A; and parent(b2) is the suffix-link level
-        ancestor of u at depth A, of cum L - 1 - A.  Hence
-
-            2P - A <= cum(parent(b2)) <= A - 1.
-
-        A child x of the root is stored as (x, ROOT): the right part ROOT
-        needs P = 0, and b1 is never ROOT.  Cums fall up b's root path, so
-        the walk stops once a parent's cum drops below 2P - A.
-
-        So a sweep is linear in m.  Every right part probed against a
-        (here and in the lookaheads) is a distinct node on one root path,
-        lane 2's path from cum(a), with its parent's cum in the window and
-        below m - cum(a).  Lane 1's nodes a_1 .. a_k run down one path, so
-        the windows of a_1 .. a_(k-1) hold at most 2 cum(a_(k-1)) cums in
-        all and a_k's at most m - cum(a_k); with the one ROOT probe and
-        cum(a_(k-1)) < ceil(m/2) that is at most m + ceil(m/2) - 1 probes,
-        within the 2m + 2 the harness checks."""
-        # _probe's window, its bounds read once for the whole walk
-        cum, parent = self.cum, self.parent
+    def window(a: NodeId, b: NodeId) -> None:
+        """Probe a against b and its ancestors in a's window."""
         pa = parent[a]
         if pa == ROOT:
-            self._lookup(a, ROOT)
+            lookup(a, ROOT)
         high = cum[a]
         low = 2 * cum[pa] - high
         while b != ROOT:
@@ -278,102 +161,159 @@ class _TwoLaneDriver:
             if up < low:
                 break
             if up < high:
-                self._lookup(a, b)
+                lookup(a, b)
             b = pb
 
-    # -- phases -----------------------------------------------------------
+    def align(b2: NodeId, cum2: int, anchor: int, front: int
+              ) -> tuple[NodeId, int]:
+        """First moment lane 1 reaches lane 2's anchored start: replay the
+        shortening for every lane-1 node up to walk1[front - 1], probing
+        each replayed state (splits in that band would otherwise be passed
+        without a probe).  Returns lane 2's node and the shortens made."""
+        e2 = anchor + cum2
+        count = 0
+        for node1, v in walk1[:front]:
+            if v < anchor:
+                continue
+            d = v - anchor
+            if d == 0:
+                node_v = b2
+            elif d < cum2:
+                node_v = level_ancestor_sl(anc, b2, d)
+                count += 1
+            else:
+                node_v = ROOT
+            window(node1, node_v)
+            # lane 2's next node may complete this split's stored pair
+            if e2 < m:
+                nxt = children[node_v].get(chars[e2])
+                if nxt is not None and \
+                        2 * cum[parent[node1]] - v <= cum[node_v] < v:
+                    lookup(node1, nxt)
+        return node_v, count     # the loop ends at lane 1's node, v == cum1
 
-    def _initial_phase(self) -> None:
-        """Both lanes independently navigate roughly a quarter of the query,
-        stopping at the last node not beyond t_init."""
-        cum = self.cum
-        while True:
-            node = self._lane1_peek_edge()
-            if node is None or cum[node] > self.t_init:
+    try:
+        # initial phase: both lanes walk on their own to their last node
+        # not beyond t_init
+        while next1 < n1:
+            peeked1 = next1
+            node, c = walk1[next1]
+            if c > t_init:
                 break
-            self._lane1_advance(reconcile=False)
-        while True:
-            node = self._lane2_next()
-            if node is None or cum[node] > self.t_init:
-                break
-            self._lane2_take(node, ready=0)
-        self._apply_overlap()
-
-    def _navigate_one(self) -> None:
-        """One move of the core loop: lane 2 takes its next edge unless
-        that would make it longer than lane 1 while lane 1 can still
-        advance; then lane 1 advances (shortening lane 2) instead."""
-        node = self._lane2_next()
-        if node is None:
-            # lane 2 exhausted: only reachable while lane 1 lags behind
-            if self._lane1_peek_edge() is None:
-                raise AssertionError("both lanes stuck before covering Q")
-            self._lane1_advance()
-        elif self.cum1 < self.cum[node] and \
-                self._lane1_peek_edge() is not None:
-            # the pair skipped by the balance condition may be exactly
-            # the stored one; probe it before overtaking
-            if self.aligned:
-                self._probe(self.b1, node)
-            self._lane1_advance()
+            b1, cum1 = node, c
+            next1 += 1
+            if not children[node]:
+                return hits, b1, ref[node]
         else:
-            self._lane2_take(node, ready=self.ready2)
-
-    def _rebalance(self) -> None:
-        """The concatenation covers the query, but the stored split may sit
-        to the right of the meeting point: keep sweeping lane 1 to the end
-        of its subquery, shortening and probing as usual."""
-        while not self.covered and self._lane1_peek_edge() is not None:
-            self._lane1_advance()
-
-    # -- result assembly -------------------------------------------------
-
-    def _promote(self, nid: NodeId) -> NodeId:
-        """Shallowest ancestor-or-self still covering the whole query."""
+            if not covers1:
+                return hits, None, None
+        while anchor + cum2 < m:
+            nxt = children[b2].get(chars[anchor + cum2])
+            if nxt is None:
+                return hits, None, None
+            c = cum[nxt]
+            if c > t_init:
+                break
+            step = (c if c < m - anchor else m - anchor) - cum2
+            nav2 += step
+            t2 += step                   # ready at once
+            b2, cum2 = nxt, c
+            if not children[nxt]:
+                return hits, b1, ref[nxt] - anchor
         while True:
-            par = self.parent[nid]
-            if par == NO_PARENT or self.cum[par] < self.m:
-                return nid
-            nid = par
+            # lane 1 has moved: shorten lane 2 from the left by the overlap
+            # (invariant 2), or align on first reaching its start
+            ready = t1 + (cum1 if cum1 < half else half) + 1   # reads b1
+            if aligned:
+                ov = cum1 - anchor
+                anchor = cum1
+                if ov >= cum2:
+                    # lane 1 covers lane 2's whole string: lane 2 restarts
+                    b2, cum2 = ROOT, 0
+                else:
+                    b2 = level_ancestor_sl(anc, b2, ov)
+                    cum2 = cum[b2]
+                    shortens += 1
+                    t2 = (t2 if t2 > ready else ready) + 1
+                    window(b1, b2)
+            elif cum1 >= anchor:
+                b2, count = align(b2, cum2, anchor, next1)
+                cum2 = cum[b2]
+                anchor = cum1
+                aligned = True
+                if count:
+                    shortens += count
+                    t2 = max(t2, ready) + count
+            # lane 2 takes its next edge unless that would make it longer
+            # than lane 1 while lane 1 can still advance
+            while True:
+                if cum1 + cum2 >= m:
+                    # the concatenation covers Q, but the stored split may
+                    # sit right of the meeting point: lane 1 keeps sweeping
+                    # to the end of its subquery
+                    if covered:
+                        return hits, b1, None
+                    if next1 == n1:
+                        return hits, b1 if covers1 else None, None
+                    break
+                e2 = anchor + cum2
+                if e2 >= m:
+                    # lane 2 exhausted: only reachable while lane 1 lags
+                    if next1 < n1:
+                        break
+                    if not covers1:
+                        return hits, None, None
+                    raise AssertionError("both lanes stuck before covering Q")
+                nxt = children[b2].get(chars[e2])
+                if nxt is None:
+                    return hits, None, None
+                c = cum[nxt]
+                if cum1 < c:
+                    if next1 < n1:
+                        # the balance condition skips exactly the stored
+                        # pair when that next edge is long: probe it
+                        # before overtaking
+                        if aligned and \
+                                2 * cum[parent[b1]] - cum1 <= cum2 < cum1:
+                            lookup(b1, nxt)
+                        break
+                    if not covers1:
+                        return hits, None, None
+                step = (c if c < m - anchor else m - anchor) - cum2
+                nav2 += step
+                t2 = (t2 if t2 > ready else ready) + step
+                b2, cum2 = nxt, c
+                if not children[nxt]:
+                    return hits, b1, ref[nxt] - anchor
+                if aligned:
+                    window(b1, nxt)
+            # lane 1 moves onto its next edge
+            peeked1 = next1
+            b1, cum1 = walk1[next1]
+            next1 += 1
+            if not children[b1]:
+                return hits, b1, ref[b1]
+    finally:
+        nav1 = min(walk1[peeked1][1], half)
+        if nav1:
+            ledger.charge("lane1", "nav_chars", nav1, timed=False)
+            ledger.advance("lane1", nav1)
+        if nav2 or shortens:
+            ledger.charge("lane2", "nav_chars", nav2, timed=False)
+            ledger.charge("lane2", "shortens", shortens, timed=False)
+            ledger.advance("lane2", t2 - t2_start)
+        if probed:
+            ledger.charge("probe", "probes", len(probed), timed=False)
 
-    def _finish(self) -> QueryResult:
-        candidates = {self._promote(h) for h in self.hits
-                      if self.cum[h] >= self.m}
-        if self.cum1 >= self.m:
-            candidates.add(self._promote(self.b1))
-        for cand in candidates:
-            # terminal check of the characters patricia navigation skipped,
-            # split across both lanes; work, but off the critical path
-            self.ledger.charge("lane1", "compares", self.half, timed=False)
-            self.ledger.charge("lane2", "compares", self.m - self.half,
-                               timed=False)
-            if verify_against_text(self.tree, cand, self.pat):
-                return QueryResult(tuple(occurrences(self.tree, cand)), cand)
-        return EMPTY
 
-    def _single_occurrence(self, candidate: int) -> QueryResult:
-        n = self.tree.base_len
-        if candidate < 1 or candidate + self.m - 1 > n:
-            return EMPTY
-        self.ledger.charge("lane1", "compares", self.half, timed=False)
-        self.ledger.charge("lane2", "compares", self.m - self.half,
-                           timed=False)
-        start = candidate - 1
-        if self.tree.data[start: start + self.m] != self.pat.chars:
-            return EMPTY
-        return QueryResult((candidate,), None)
-
-    def run(self) -> QueryResult:
-        try:
-            self._initial_phase()
-            while self.cum1 + self.cum2 < self.m:
-                self._navigate_one()
-            self._rebalance()
-        except _Absent:
-            return EMPTY
-        except _LeafExit as leaf:
-            return self._single_occurrence(leaf.candidate)
-        return self._finish()
+def _promote(tree: SuffixIndex, nid: NodeId, m: int) -> NodeId:
+    """Shallowest ancestor-or-self still covering the whole query."""
+    parent, cum = tree.parent, tree.cum
+    while True:
+        par = parent[nid]
+        if par == NO_PARENT or cum[par] < m:
+            return nid
+        nid = par
 
 
 def par_query_tree2(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
@@ -384,9 +324,31 @@ def par_query_tree2(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
     probe sweep runs in the calling thread and charges ``ledger``."""
     _check_args(tree, anc, dct, pat)
     ledger = ledger if ledger is not None else StepLedger()
-    [lane1] = mapper(lambda sub: descend(tree, sub),
-                     [pat.chars[:(pat.m + 1) // 2]])
-    return _TwoLaneDriver(tree, anc, dct, pat, ledger, lane1).run()
+    m = pat.m
+    half = (m + 1) // 2
+    [lane1] = mapper(lambda sub: descend(tree, sub), [pat.chars[:half]])
+    hits, b1, leaf = _sweep(tree, anc, dct, pat, ledger, lane1)
+    if leaf is not None:
+        if leaf < 1 or leaf + m - 1 > tree.base_len:
+            return EMPTY
+        ledger.charge("lane1", "compares", half, timed=False)
+        ledger.charge("lane2", "compares", m - half, timed=False)
+        if tree.data[leaf - 1: leaf - 1 + m] != pat.chars:
+            return EMPTY
+        return QueryResult((leaf,), None)
+    if b1 is None:
+        return EMPTY
+    candidates = {_promote(tree, h, m) for h in hits if tree.cum[h] >= m}
+    if tree.cum[b1] >= m:
+        candidates.add(_promote(tree, b1, m))
+    for cand in candidates:
+        # terminal check of the characters patricia navigation skipped,
+        # split across both lanes; work, but off the critical path
+        ledger.charge("lane1", "compares", half, timed=False)
+        ledger.charge("lane2", "compares", m - half, timed=False)
+        if verify_against_text(tree, cand, pat):
+            return QueryResult(tuple(occurrences(tree, cand)), cand)
+    return EMPTY
 
 
 def par_query_tree2_threaded(tree: SuffixIndex, anc: AncestryIndex,

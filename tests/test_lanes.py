@@ -5,9 +5,11 @@ import random
 import sys
 import threading
 
-from parsuffix import (StepLedger, build_layered_index, build_suffix_trie,
-                       build_trie_halving_dict, make_text,
-                       par_query_interleaved, par_query_trie)
+from parsuffix import (StepLedger, build_ancestry, build_layered_index,
+                       build_suffix_tree, build_suffix_trie,
+                       build_tree_halving_dict, build_trie_halving_dict,
+                       make_text, par_query_interleaved, par_query_tree2,
+                       par_query_trie)
 from parsuffix.lanes import seq_map, thread_map
 from parsuffix.textmodel import Pattern
 
@@ -29,6 +31,9 @@ def test_threaded_ledgers_under_forced_switches():
     layered = build_layered_index(raw, 8)
     trie = build_suffix_trie(make_text(raw[:120], 1))
     trie_dict = build_trie_halving_dict(trie)
+    tree = build_suffix_tree(make_text(raw, 1))
+    anc = build_ancestry(tree)
+    tree_dict = build_tree_halving_dict(tree)
     calls = []
     for _ in range(30):
         m = rng.randrange(8, 40)
@@ -39,6 +44,8 @@ def test_threaded_ledgers_under_forced_switches():
                      par_query_interleaved(layered, q, 8, led, mapper))
         calls.append(lambda led, mapper, q=q:
                      par_query_trie(trie, trie_dict, q, 4, led, mapper))
+        calls.append(lambda led, mapper, q=q:
+                     par_query_tree2(tree, anc, tree_dict, q, led, mapper))
 
     def run(mapper):
         out = []

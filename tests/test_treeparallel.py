@@ -9,13 +9,17 @@ import pytest
 from parsuffix import (StepLedger, build_ancestry, build_suffix_tree,
                        build_tree_halving_dict, make_text, par_query_tree2,
                        par_query_tree2_threaded)
+from parsuffix.harness import ALGORITHMS
+from parsuffix.suffixindex import descend
 from parsuffix.textmodel import Pattern
-from parsuffix.treeparallel import _TwoLaneDriver
+from parsuffix.treeparallel import _sweep
 from parsuffix.trieparallel import ParameterError
 
 from conftest import (fibonacci_text, naive_positions, periodic_text,
                       random_text)
-from naive_oracle import FullSweepDriver, run_tree2_driver
+from naive_oracle import run_full_sweep
+
+TREE_PAR2 = ALGORITHMS["tree-par2"]
 
 
 def run(raw, q, ledger=None):
@@ -80,9 +84,7 @@ def test_accounting_bounds_golden():
     led = StepLedger()
     res = run(b"ABRACADABRA", b"ABRA", led)
     assert res.positions == (1, 8)
-    m = 4
-    assert led.nav_chars <= -(-m // 2) + -(-3 * m // 4) + 2
-    assert led.span <= m + 4
+    assert TREE_PAR2.law(Pattern.from_bytes(b"ABRA"), None, led, res) is None
 
 
 def test_oracle_and_bounds_randomized():
@@ -100,10 +102,10 @@ def test_oracle_and_bounds_randomized():
             else:
                 q = random_text(rng, m, 5)
             led = StepLedger()
-            res = par_query_tree2(tree, anc, dct, Pattern.from_bytes(q), led)
+            pat = Pattern.from_bytes(q)
+            res = par_query_tree2(tree, anc, dct, pat, led)
             assert res.positions == naive_positions(raw, q), (raw, q)
-            assert led.nav_chars <= -(-m // 2) + -(-3 * m // 4) + 2, (raw, q)
-            assert led.span <= m + 4, (raw, q)
+            assert TREE_PAR2.law(pat, None, led, res) is None, (raw, q)
 
 
 def test_unary_stress():
@@ -155,11 +157,13 @@ def test_windowed_sweep_matches_full_sweep():
             if rng.random() < 0.3:
                 q[rng.randrange(m)] ^= 1 << rng.randrange(2)
             pat = Pattern.from_bytes(bytes(q))
-            win, res, led = run_tree2_driver(_TwoLaneDriver, tree, anc, dct,
-                                             pat)
-            full, full_res, full_led = run_tree2_driver(FullSweepDriver, tree,
-                                                        anc, dct, pat)
-            assert win.hits == full.hits, (raw, q)
+            led = StepLedger()
+            res = par_query_tree2(tree, anc, dct, pat, led)
+            hits, _, _ = _sweep(tree, anc, dct, pat, StepLedger(),
+                                descend(tree, pat.chars[:(m + 1) // 2]))
+            full_hits, full_res, full_led = run_full_sweep(tree, anc, dct,
+                                                           pat)
+            assert hits == full_hits, (raw, q)
             assert res == full_res, (raw, q)
             assert res.positions == naive_positions(raw, bytes(q)), (raw, q)
             assert (led.span, led.nav_chars, led.shortens) == \
