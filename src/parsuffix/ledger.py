@@ -50,7 +50,10 @@ class StepLedger:
     def advance(self, lane: str, amount: int, ready: int = 0) -> int:
         """Move a lane's clock without counting steps: used when work is
         counted elsewhere but its schedule shape differs (e.g. a merge
-        whose probes are split across several processors)."""
+        whose probes are split across several processors).  A caller that
+        keeps a lane's clock itself settles the lane's totals in one call:
+        ``charge(..., timed=False)`` per counter, then one ``advance`` to
+        the lane's end time (tree-par2's sweep does so)."""
         t = max(self.lane_time[lane], ready) + amount
         self.lane_time[lane] = t
         return t

@@ -116,13 +116,13 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
     peeked edge.  Lane 2's clock runs t2 = max(t2, ready) + amount.  Each
     distinct probed pair is one probe.  The per-step code spells min and
     max as conditional expressions: the calls cost more than the step."""
-    cum, parent, children, ref = tree.cum, tree.parent, tree.children, \
-        tree.ref
+    cum, parent, children = tree.cum, tree.parent, tree.children
+    ref = tree.ref
     chars, m = pat.chars, pat.m
     walk1, covers1 = lane1
     n1 = len(walk1)
     half = (m + 1) // 2
-    anchor = (m + 3) // 4                # lane 2 starts at Q[start2 + 1]
+    anchor = (m + 3) // 4                # start2: lane 2 starts after it
     t_init = anchor + 1
     t1 = ledger.now("lane1")
     t2 = t2_start = ledger.now("lane2")
@@ -216,7 +216,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                 break
             step = (c if c < m - anchor else m - anchor) - cum2
             nav2 += step
-            t2 += step                   # ready at once
+            t2 += step                   # reads nothing of lane 1
             b2, cum2 = nxt, c
             if not children[nxt]:
                 return hits, b1, ref[nxt] - anchor
@@ -329,6 +329,7 @@ def par_query_tree2(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
     [lane1] = mapper(lambda sub: descend(tree, sub), [pat.chars[:half]])
     hits, b1, leaf = _sweep(tree, anc, dct, pat, ledger, lane1)
     if leaf is not None:
+        # a lane reached a leaf: at most one occurrence, at ``leaf``
         if leaf < 1 or leaf + m - 1 > tree.base_len:
             return EMPTY
         ledger.charge("lane1", "compares", half, timed=False)

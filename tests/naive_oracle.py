@@ -1,6 +1,6 @@
 """Reference builders that insert every suffix and walk every dictionary
 part from the root, occurrence reporting by a walk over the subtree, and
-tree-par2's probe sweep over every ancestor of lane 2's node.
+tree-par2's probe sweep step by step over every ancestor of lane 2's node.
 Quadratic on repetitive texts; the library's McCreight builder,
 suffix-link based dictionaries, leaf-order reporting range and windowed
 probe sweep must match them exactly (node ids and hits included)."""
