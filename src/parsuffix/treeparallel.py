@@ -164,22 +164,22 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                 lookup(a, b)
             b = pb
 
-    def align(b2: NodeId, cum2: int, anchor: int, front: int
-              ) -> tuple[NodeId, int]:
+    def align(base_b2: NodeId, base_cum2: int, base_anchor: int,
+              front: int) -> tuple[NodeId, int]:
         """First moment lane 1 reaches lane 2's anchored start: replay the
         shortening for every lane-1 node up to walk1[front - 1], probing
         each replayed state (splits in that band would otherwise be passed
         without a probe).  Returns lane 2's node and the shortens made."""
-        e2 = anchor + cum2
+        e2 = base_anchor + base_cum2
         count = 0
         for node1, v in walk1[:front]:
-            if v < anchor:
+            if v < base_anchor:
                 continue
-            d = v - anchor
+            d = v - base_anchor
             if d == 0:
-                node_v = b2
-            elif d < cum2:
-                node_v = level_ancestor_sl(anc, b2, d)
+                node_v = base_b2
+            elif d < base_cum2:
+                node_v = level_ancestor_sl(anc, base_b2, d)
                 count += 1
             else:
                 node_v = ROOT
