@@ -86,10 +86,10 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
     of b that can be stored as a's right part: after a shorten, the stored
     right part may be any prefix of lane 2's covered string, but only a
     window of them.  The window follows from
-    :func:`build_tree_halving_dict`'s rule, and a container stores that
-    builder's entries, so loaded dictionaries keep it too.  The pair
-    (b1, b2) stored for a node x with parent u != ROOT splits x's shortest
-    string, of length L = cum(u) + 1.  With A = cum(b1) and
+    :func:`build_tree_halving_dict`'s rule, and a container stores the
+    entries that function makes, so loaded dictionaries keep it too.  The
+    pair (b1, b2) stored for a node x with parent u != ROOT splits x's
+    shortest string, of length L = cum(u) + 1.  With A = cum(b1) and
     P = cum(parent(b1)), b1 is the shallowest node covering half of it,
     so P < ceil(L/2) <= A, that is 2P < L <= 2A; and parent(b2) is the
     suffix-link level ancestor of u at depth A, of cum L - 1 - A.  Hence

@@ -187,7 +187,7 @@ def test_unary_probes_linear():
 
 
 # SHA-256 of test_answers_and_ledgers_pinned's calls as the per-step sweep
-# driver answered them; a rewrite of the sweep must keep it
+# answered them; a rewrite of the sweep must keep it
 PINNED_SHA256 = ("dc1b52cb29e123b04b3b806717ee1566"
                  "ca7662013ca01d5d90de44b8a0a20964")
 
@@ -219,7 +219,7 @@ def _pin_cases():
 
 def test_answers_and_ledgers_pinned():
     """Positions, node, per-lane counters and lane clocks of every call
-    hash to the value the per-step driver produced."""
+    hash to the value the per-step sweep produced."""
     h = hashlib.sha256()
     for raw, pats in _pin_cases():
         tree = build_suffix_tree(make_text(raw, 1))
