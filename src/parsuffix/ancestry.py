@@ -47,22 +47,23 @@ def suffix_links(tree: SuffixIndex) -> list[NodeId]:
         raise ValueError("suffix links require a suffix tree")
     parent = tree.parent
     cum = tree.cum
-    children = tree.children
+    child = tree.child
     lrefs = tree.leftmost_leaf_ref
     data = tree.data
+    end = len(data)
     links = [ROOT] * len(cum)          # a list reads back without boxing
     for nid in range(1, len(cum)):     # node ids are a preorder
         want = cum[nid] - 1
         first = lrefs[nid]               # data[first + d]: link symbol d
         cur = links[parent[nid]]
         depth = cum[cur]
-        try:
-            while depth < want:
-                cur = children[cur][data[first + depth]]
-                depth = cum[cur]
-        except (KeyError, IndexError):
-            raise AncestryError("suffix link target missing "
-                                "(not a suffix tree)") from None
+        while depth < want:
+            cur = child(cur, data[first + depth]) \
+                if first + depth < end else None
+            if cur is None:
+                raise AncestryError("suffix link target missing "
+                                    "(not a suffix tree)")
+            depth = cum[cur]
         if depth != want:
             raise AncestryError("suffix link target overshoots "
                                 "(not a suffix tree)")

@@ -72,7 +72,7 @@ def build_trie_halving_dict(trie: SuffixIndex) -> PairDict:
     """
     if trie.kind != "trie":
         raise ValueError("trie halving dictionary requires a suffix trie")
-    children = trie.children
+    child, children = trie.child, trie.children
     lrefs = trie.leftmost_leaf_ref
     data = trie.data
     link = array("i", [ROOT]) * len(trie)
@@ -81,18 +81,18 @@ def build_trie_halving_dict(trie: SuffixIndex) -> PairDict:
     order = [ROOT]
     for u in order:                   # shallower nodes come first
         depth = trie.cum[u] + 1
-        for c, x in children[u].items():
+        for c, x in children(u):
             order.append(x)
             if u != ROOT:
-                link[x] = children[link[u]][c]
+                link[x] = child(link[u], c)
             if depth % 2:
                 mid = data[lrefs[x] - 1 + depth // 2]
-                a1[x] = children[a1[u]][mid]
+                a1[x] = child(a1[u], mid)
                 if a2[u] != ROOT:
-                    a2[x] = children[link[a2[u]]][c]
+                    a2[x] = child(link[a2[u]], c)
             else:
                 a1[x] = a1[u]
-                a2[x] = children[a2[u]][c]
+                a2[x] = child(a2[u], c)
     d = PairDict(owner=trie, target=trie)
     for nid in range(1, len(trie)):
         d.add(a1[nid], a2[nid], nid)
@@ -114,24 +114,26 @@ def build_tree_halving_dict(tree: SuffixIndex) -> PairDict:
     if tree.kind != "tree":
         raise ValueError("tree halving dictionary requires a suffix tree")
     anc = build_ancestry(tree)
-    children = tree.children
+    child, children = tree.child, tree.children
     cum = tree.cum
     left = array("i", range(len(tree)))     # a root child x: (x, ROOT)
     right_part = array("i", [ROOT]) * len(tree)
     path: list[NodeId] = []
     cums: list[int] = []
-    stack = [(nid, 0) for nid in children[ROOT].values() if children[nid]]
+    stack = [(nid, 0) for _, nid in children(ROOT)]
     while stack:
         u, depth = stack.pop()
+        kids = children(u)
+        if not kids:
+            continue
         del path[depth:], cums[depth:]
         path.append(u)
         cums.append(cum[u])
         b1 = path[bisect_left(cums, (cum[u] + 2) // 2)]
-        right = children[level_ancestor_sl(anc, u, cum[b1])]
-        for c, x in children[u].items():
-            left[x], right_part[x] = b1, right[c]
-            if children[x]:
-                stack.append((x, depth + 1))
+        right = level_ancestor_sl(anc, u, cum[b1])
+        for c, x in kids:
+            left[x], right_part[x] = b1, child(right, c)
+            stack.append((x, depth + 1))
     d = PairDict(owner=tree, target=tree)
     for nid in range(1, len(tree)):
         d.add(left[nid], right_part[nid], nid)

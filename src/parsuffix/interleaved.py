@@ -88,9 +88,9 @@ def _cover(index: SuffixIndex, cur: NodeId, data: Sequence[int], first: int,
     """First node with cumulative skip >= ``length`` on the navigation path
     of data[first], data[first + 2], ..., resuming at ``cur`` on that path."""
     cum = index.cum
-    children = index.children
+    child = index.child
     while cum[cur] < length:
-        nxt = children[cur].get(data[first + 2 * cum[cur]])
+        nxt = child(cur, data[first + 2 * cum[cur]])
         if nxt is None:
             raise PairDictError("layer navigation fell off (layer mismatch)")
         cur = nxt

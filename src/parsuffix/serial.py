@@ -66,15 +66,15 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
-from operator import add, le, lt
+from operator import add, le, lt, mul, sub
 from typing import Optional
 
 from .halving import (PairDict, build_tree_halving_dict,
                       build_trie_halving_dict)
 from .interleaved import LayerIndex, LayeredIndex, build_layered_index
 from .lanes import is_pow2
-from .suffixindex import (NO_CHILDREN, NO_PARENT, SuffixIndex,
-                          build_suffix_tree, build_suffix_trie, gather)
+from .suffixindex import (NO_PARENT, SuffixIndex, build_suffix_tree,
+                          build_suffix_trie, child_table, gather)
 from .textmodel import make_text
 
 MAGIC = b"PQST"
@@ -145,13 +145,8 @@ def _le_bytes(col: array) -> bytes:
 
 
 def _pack_index(out: bytearray, index: SuffixIndex) -> None:
-    # each node's incoming edge symbol, read off its parent's child map
-    sym = array("H", bytes(2 * len(index)))
-    for children in index.children:
-        for c, child in children.items():
-            sym[child] = c
     out += _INDEX_HEAD.pack(index.stride, len(index))
-    for col in (index.parent, index.skip, index.ref, sym):
+    for col in (index.parent, index.skip, index.ref, index.sym):
         out += _le_bytes(col)
 
 
@@ -243,8 +238,9 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
         raise ContainerError("a suffix ref outside the text")
 
     size, end, index.leftmost_leaf_ref = _subtrees(parent, ref)
-    index.cum, index.children = _cums_and_children(parent, skip, sym, size)
+    index.cum = _cums(parent, skip)
     index.parent, index.skip, index.ref = parent, skip, ref
+    _set_child_table(index, sym)
     _check_labels(index, [v for v, s in enumerate(size) if s == 1], sym)
     _set_reporting_range(index, size, end)
     n = index.base_len
@@ -252,7 +248,9 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
     if len(pos) != n or len(set(pos)) != n or (n and min(pos) < 1):
         raise ContainerError("the leaves are not the text's %d suffixes, "
                              "each once" % n)
-    if kind == "tree" and 1 in map(len, index.children[1:]):
+    cstart = index.cstart
+    if kind == "tree" and 1 in map(sub, islice(cstart, 2, None),
+                                   islice(cstart, 1, None)):
         raise ContainerError("a tree's inner node other than the root has "
                              "one child")
     return index
@@ -280,23 +278,32 @@ def _subtrees(parent: array, ref: array) -> tuple[list[int], list[int],
     return size, end, lref
 
 
-def _cums_and_children(parent: array, skip: array, sym: array,
-                       size: list[int]) -> tuple[array, list]:
-    """Top-down, in id order: cumulative skips and child maps; no two
-    children of a node may share a symbol."""
-    count = len(parent)
-    cum = [0] * count
-    children = [{} if s > 1 else NO_CHILDREN for s in size]
-    for v, par, s, c in zip(range(1, count), islice(parent, 1, None),
-                            islice(skip, 1, None), islice(sym, 1, None)):
+def _cums(parent: array, skip: array) -> array:
+    """Top-down, in id order: cumulative skips."""
+    cum = [0] * len(parent)
+    for v, par, s in zip(range(1, len(parent)), islice(parent, 1, None),
+                         islice(skip, 1, None)):
         cum[v] = cum[par] + s
-        children[par][c] = v
-    if sum(map(len, children)) != count - 1:
-        raise ContainerError("two children of one node share a symbol")
     try:
-        return array("i", cum), children
+        return array("i", cum)
     except OverflowError:
         raise ContainerError("a path longer than the text") from None
+
+
+def _set_child_table(index: SuffixIndex, sym: array) -> None:
+    """The child table from the parent and sym columns, as finalize
+    derives it.  Within one node's range the symbols must rise: the
+    children are in symbol order, no two sharing a symbol."""
+    fsym, cstart, cid, csym = child_table(index.parent, sym)
+    # (parent, symbol) of each table entry, packed; rising across groups
+    keys = list(map(add, map(mul, gather(index.parent, cid), repeat(1 << 16)),
+                    csym))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        raise ContainerError("two children of one node share a symbol or "
+                             "are out of symbol order")
+    index.child_maps = None
+    index.sym = sym
+    index.fsym, index.cstart, index.cid, index.csym = fsym, cstart, cid, csym
 
 
 def _set_reporting_range(index: SuffixIndex, size: list[int],

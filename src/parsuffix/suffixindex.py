@@ -3,14 +3,14 @@
 Both index kinds share one struct-of-arrays node store
 (:class:`SuffixIndex`), after the enhanced suffix array's tables of
 Abouelhoda, Kurtz & Ohlebusch (2004): a node is an id into a few
-``array("i")`` fields and one list of child dicts, not an object, and
-the ids of a finished index are a preorder, children in symbol order.  A
-node's incoming edge is described only by its first (discriminator)
-character and its length (``skip``); the full label is recovered from
-the indexed symbol sequence via ``leftmost_leaf_ref``.  Navigation
-therefore compares only discriminator characters, and callers must
-verify skipped characters against the text before trusting a match
-(patricia semantics).
+``array`` fields, not an object, its children are a range of one flat
+child table, and the ids of a finished index are a preorder, children
+in symbol order.  A node's incoming edge is described only by its first
+(discriminator) character and its length (``skip``); the full label is
+recovered from the indexed symbol sequence via ``leftmost_leaf_ref``.
+Navigation therefore compares only discriminator characters, and
+callers must verify skipped characters against the text before trusting
+a match (patricia semantics).
 
 A text with k delimiters is indexed as its k interleaved subsequences
 (the interleaved layers; k = 1 is the plain text): they are concatenated
@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain
+from collections import Counter
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .textmodel import Pattern, Text, interleave
@@ -36,8 +36,7 @@ if TYPE_CHECKING:
 NodeId = int
 ROOT: NodeId = 0
 NO_PARENT = -1                   # the root's parent
-# the child map every leaf of a finalized index shares
-NO_CHILDREN = MappingProxyType({})
+NO_SYM = 0xFFFF                  # a leaf's fsym, a value no symbol takes
 
 
 class SuffixIndex:
@@ -51,13 +50,32 @@ class SuffixIndex:
       to node), ``ref`` (a leaf's 1-based suffix start in ``data``, 0 for
       none) and ``leftmost_leaf_ref`` (the 1-based data position of one
       suffix below) are ``array("i")``s, 4 bytes per node each;
-    - ``children`` lists one symbol -> child dict per node, and every
-      leaf of a finalized index shares :data:`NO_CHILDREN`.
+    - ``sym`` is the first symbol of the node's incoming edge (0 for the
+      root) and ``fsym`` that of its first child's (:data:`NO_SYM` for a
+      leaf), ``array("H")``s: the symbols, delimiters included, must fit
+      16 bits, as in the container, and stay below ``NO_SYM``;
+    - the child table lists every node's children in symbol order, one
+      node after another: node v's are ``cid[cstart[v]:cstart[v + 1]]``,
+      with their edge symbols at the same places of ``csym``
+      (``cstart`` has one entry more than there are nodes), so a leaf's
+      range is empty.
 
-    A dict holding only ints is not tracked by CPython's collector, so an
-    index is a handful of collector objects, not one per node.  A suffix
-    tree of a random binary text of 16000 symbols holds 183 B per node in
-    all (tracemalloc, CPython 3.11), most of it in the child dicts.
+    In preorder a node's first child is the next id, so a lookup first
+    compares ``fsym`` (one read, the whole lookup on a unary chain) and
+    only then searches the rest of the node's range with ``csym.index``.
+    :meth:`child` does that and :meth:`children` lists the range; the
+    query loops inline the lookup.
+
+    A finished index is a handful of arrays: no object per node, and
+    nothing CPython's collector tracks per node.  The child table and
+    the two symbol columns cost 14 B per node.  A suffix tree of a random
+    binary text of 16000 symbols holds about 49 B per node in all, a
+    suffix trie of 200 symbols about 44 (tracemalloc, CPython 3.11); with
+    a child dict per node they held 183 and 287.
+
+    While a builder adds nodes, ``child_maps`` holds one symbol -> child
+    dict per node (None for a leaf the builder will not extend);
+    :meth:`finalize` derives the table from them and drops them.
 
     ``stride`` is the text's delimiter count k and ``base_len`` its length
     without them.  ``data`` is the concatenation of the text's k
@@ -80,7 +98,13 @@ class SuffixIndex:
         self.cum = array("i", [0])
         self.ref = array("i", [0])
         self.leftmost_leaf_ref = array("i", [0])
-        self.children: list[dict[int, NodeId]] = [{}]
+        self.child_maps: Optional[list[Optional[dict[int, NodeId]]]] = [{}]
+        # the child table, built by finalize() or the container loader
+        self.sym = array("H")
+        self.fsym = array("H")
+        self.cstart = array("i")
+        self.cid = array("i")
+        self.csym = array("H")
         # suffix links, built once by ancestry.build_ancestry
         self.ancestry: Optional[AncestryIndex] = None
         # the reporting range, built by finalize() or the container loader
@@ -100,15 +124,35 @@ class SuffixIndex:
     def new_node(self, parent: NodeId, skip: int, lref: int,
                  ref: int = 0) -> NodeId:
         """Append a node below ``parent``.  A node made with a suffix
-        ``ref`` is a leaf of a suffix tree and shares NO_CHILDREN."""
+        ``ref`` is a leaf of a suffix tree and gets no child map."""
         nid = len(self.cum)
         self.parent.append(parent)
         self.skip.append(skip)
         self.cum.append(self.cum[parent] + skip)
         self.ref.append(ref)
         self.leftmost_leaf_ref.append(lref)
-        self.children.append(NO_CHILDREN if ref else {})
+        self.child_maps.append(None if ref else {})
         return nid
+
+    def child(self, nid: NodeId, sym: int) -> Optional[NodeId]:
+        """The child of a finished index's node ``nid`` whose edge starts
+        with ``sym``; None if there is none, as always at a leaf."""
+        first = self.fsym[nid]
+        if first == NO_SYM:
+            return None
+        if first == sym:
+            return nid + 1
+        try:
+            return self.cid[self.csym.index(sym, self.cstart[nid] + 1,
+                                            self.cstart[nid + 1])]
+        except ValueError:
+            return None
+
+    def children(self, nid: NodeId) -> list[tuple[int, NodeId]]:
+        """The (edge symbol, child) pairs of a finished index's node, in
+        symbol order; empty for a leaf."""
+        lo, hi = self.cstart[nid], self.cstart[nid + 1]
+        return list(zip(self.csym[lo:hi], self.cid[lo:hi]))
 
     def spelling(self, nid: NodeId) -> tuple[int, ...]:
         """The node's longest corresponding substring."""
@@ -143,53 +187,51 @@ class SuffixIndex:
 
     def finalize(self) -> None:
         """Renumber the nodes in preorder, children in symbol order, and
-        build what the walk gives: sorted child maps holding the new ids,
-        leftmost leaf refs and the reporting range.
+        build what the walk gives: each node's edge symbol, the child
+        table, leftmost leaf refs and the reporting range.
 
         In preorder a parent's id is below its children's, each subtree
         is one contiguous id range, and a node's first child is the next
         id.  ``leaf_pos`` lists the text positions of the reported leaves
         (those with a suffix ref that starts in the text, not in the
         delimiter tail) in leaf order; ``leaf_pos[leaf_lo[v]:leaf_hi[v]]``
-        are the ones below node ``v``.  Leaves drop their empty child
-        dicts for :data:`NO_CHILDREN`, so the index is not built further
-        after this."""
-        children = self.children
+        are the ones below node ``v``.  The child maps are dropped, so
+        the index is not built further after this."""
+        maps = self.child_maps
         ref = self.ref
-        n = len(children)
+        n = len(maps)
         tpos = self.text_positions()
         base_len = self.base_len
         order = [ROOT]                 # old id of each new id
         parent = [NO_PARENT]           # by new id
+        sym = array("H", [0])          # by new id
         lo = array("i", bytes(4 * n))
         hi = array("i", lo)
         lref = array("i", lo)
         pos = array("i")
         pending = [ROOT]              # visited, leftmost leaf not yet seen
-        # The node being expanded: its new id, its child map, the one
-        # being filled with new ids, and its symbols still to visit; the
-        # frames hold the same for its ancestors.
-        top, kids, new_kids = ROOT, children[ROOT], {}
-        new_children: list[dict[int, NodeId]] = [new_kids]
+        # The node being expanded: its new id, its child map and its
+        # symbols still to visit; the frames hold the same for its
+        # ancestors.
+        top, kids = ROOT, maps[ROOT]
         syms = iter(sorted(kids))
         frames = []
         while True:
-            for sym in syms:
-                old = kids[sym]
-                nid = new_kids[sym] = len(order)
+            for c in syms:
+                old = kids[c]
+                nid = len(order)
                 order.append(old)
                 parent.append(top)
+                sym.append(c)
                 lo[nid] = len(pos)
-                grand = children[old]
-                children[old] = NO_CHILDREN   # the old map is freed once walked
+                grand = maps[old]
+                maps[old] = None          # the old map is freed once walked
                 if grand:
-                    frames.append((top, kids, new_kids, syms))
-                    top, kids, new_kids = nid, grand, {}
-                    new_children.append(new_kids)
+                    frames.append((top, kids, syms))
+                    top, kids = nid, grand
                     syms = iter(sorted(grand) if len(grand) > 1 else grand)
                     pending.append(nid)
                     break
-                new_children.append(NO_CHILDREN)
                 r = lref[nid] = ref[old]
                 if tpos[r] <= base_len:
                     pos.append(tpos[r])
@@ -201,13 +243,34 @@ class SuffixIndex:
                 hi[top] = len(pos)
                 if not frames:
                     break
-                top, kids, new_kids, syms = frames.pop()
+                top, kids, syms = frames.pop()
         self.parent = array("i", parent)
         self.skip, self.cum, self.ref = (array("i", gather(field, order))
                                          for field in (self.skip, self.cum, ref))
-        self.children = new_children
+        self.child_maps = None
+        self.sym = sym
+        self.fsym, self.cstart, self.cid, self.csym = child_table(self.parent,
+                                                                  sym)
         self.leftmost_leaf_ref = lref
         self.leaf_pos, self.leaf_lo, self.leaf_hi = pos, lo, hi
+
+
+def child_table(parent: array, sym: array
+                ) -> tuple[array, array, array, array]:
+    """``fsym``, ``cstart``, ``cid`` and ``csym`` of a tree whose ids are
+    a preorder, children in symbol order, from each node's parent and edge
+    symbol: the non-root ids grouped by parent, in id order within a group
+    (a stable sort), and each node's group start as a running count of
+    the children of the nodes before it."""
+    n = len(parent)
+    cid = array("i", sorted(range(1, n), key=parent.__getitem__))
+    csym = array("H", gather(sym, cid))
+    degree = Counter(islice(parent, 1, None))
+    cstart = array("i", accumulate(map(degree.get, range(n), repeat(0)),
+                                   initial=0))
+    fsym = array("H", [csym[lo] if lo < hi else NO_SYM
+                       for lo, hi in zip(cstart, islice(cstart, 1, None))])
+    return fsym, cstart, cid, csym
 
 
 def gather(values: Sequence[int] | Mapping[int, int],
@@ -232,7 +295,7 @@ def build_suffix_trie(text: Text) -> SuffixIndex:
     if len(text) < 1:
         raise ValueError("text must be nonempty")
     idx = SuffixIndex(text, "trie")
-    children = idx.children
+    children = idx.child_maps
     data = idx.data
     for lo, hi in _suffix_ranges(idx):
         for s in range(lo, hi + 1):
@@ -278,7 +341,7 @@ def _insert_all_suffixes(idx: SuffixIndex) -> None:
     """
     parent = idx.parent
     cum = idx.cum
-    children = idx.children
+    children = idx.child_maps
     data = idx.data                      # 0-based: data[p - 1] is at(p)
     link: dict[NodeId, NodeId] = {ROOT: ROOT}
     for lo, hi in _suffix_ranges(idx):
@@ -306,10 +369,11 @@ def _split(idx: SuffixIndex, cur: NodeId, child: NodeId, depth: int) -> NodeId:
     cum = idx.cum
     lref = idx.leftmost_leaf_ref[child]
     mid = idx.new_node(cur, depth - cum[cur], lref)
-    idx.children[cur][idx.data[lref - 1 + cum[cur]]] = mid
+    maps = idx.child_maps
+    maps[cur][idx.data[lref - 1 + cum[cur]]] = mid
     idx.parent[child] = mid
     idx.skip[child] = cum[child] - depth
-    idx.children[mid][idx.data[lref - 1 + depth]] = child
+    maps[mid][idx.data[lref - 1 + depth]] = child
     return mid
 
 
@@ -317,7 +381,7 @@ def _scan(idx: SuffixIndex, cur: NodeId, s: int, e: int) -> NodeId:
     """Insert suffix data[s .. e], whose first ``cum(cur)`` symbols spell
     ``cur``, comparing symbols from there on; returns the suffix's head."""
     cum = idx.cum
-    children = idx.children
+    children = idx.child_maps
     data = idx.data
     pos = s + cum[cur]
     while True:
@@ -357,17 +421,26 @@ def descend(index: SuffixIndex, seq: Sequence[int]
     Returns the path as (node, cumulative skip) pairs, root included, and
     whether its last node covers ``seq``; False means the walk fell off
     there.  Skipped symbols are not compared: callers verify them.  For
-    callers that read the whole path; :func:`navigate` keeps only its end."""
-    children = index.children
+    callers that read the whole path; :func:`navigate` keeps only its end.
+    Both inline :meth:`SuffixIndex.child`."""
+    fsym, cstart, cid, csym = index.fsym, index.cstart, index.cid, index.csym
     cums = index.cum
     m = len(seq)
     cur, cum = ROOT, 0
     path = [(ROOT, 0)]
     append = path.append
     while cum < m:
-        cur = children[cur].get(seq[cum])
-        if cur is None:
+        c = seq[cum]
+        first = fsym[cur]
+        if first == c:
+            cur += 1
+        elif first == NO_SYM:
             return path, False
+        else:
+            try:
+                cur = cid[csym.index(c, cstart[cur] + 1, cstart[cur + 1])]
+            except ValueError:
+                return path, False
         cum = cums[cur]
         append((cur, cum))
     return path, True
@@ -377,15 +450,22 @@ def navigate(index: SuffixIndex, seq: Sequence[int]
              ) -> tuple[NodeId, int, bool]:
     """The end of :func:`descend`'s walk, recording no path: the last node
     reached, its cumulative skip, and whether it covers ``seq``."""
-    children = index.children
+    fsym, cstart, cid, csym = index.fsym, index.cstart, index.cid, index.csym
     cums = index.cum
     m = len(seq)
     cur, cum = ROOT, 0
     while cum < m:
-        nxt = children[cur].get(seq[cum])
-        if nxt is None:
+        c = seq[cum]
+        first = fsym[cur]
+        if first == c:
+            cur += 1
+        elif first == NO_SYM:
             return cur, cum, False
-        cur = nxt
+        else:
+            try:
+                cur = cid[csym.index(c, cstart[cur] + 1, cstart[cur + 1])]
+            except ValueError:
+                return cur, cum, False
         cum = cums[cur]
     return cur, cum, True
 

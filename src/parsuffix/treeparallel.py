@@ -52,8 +52,8 @@ from .halving import PairDict
 from .lanes import Mapper, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
-from .suffixindex import (NO_PARENT, ROOT, NodeId, SuffixIndex, descend,
-                          occurrences, verify_against_text)
+from .suffixindex import (NO_PARENT, NO_SYM, ROOT, NodeId, SuffixIndex,
+                          descend, occurrences, verify_against_text)
 from .textmodel import Pattern
 from .trieparallel import ParameterError
 
@@ -116,8 +116,8 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
     peeked edge.  Lane 2's clock runs t2 = max(t2, ready) + amount.  Each
     distinct probed pair is one probe.  The per-step code spells min and
     max as conditional expressions: the calls cost more than the step."""
-    cum, parent, children = tree.cum, tree.parent, tree.children
-    ref = tree.ref
+    cum, parent, ref = tree.cum, tree.parent, tree.ref
+    fsym, cstart, cid, csym = tree.fsym, tree.cstart, tree.cid, tree.csym
     chars, m = pat.chars, pat.m
     walk1, covers1 = lane1
     n1 = len(walk1)
@@ -186,7 +186,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
             window(node1, node_v)
             # lane 2's next node may complete this split's stored pair
             if e2 < m:
-                nxt = children[node_v].get(chars[e2])
+                nxt = tree.child(node_v, chars[e2])
                 if nxt is not None and \
                         2 * cum[parent[node1]] - v <= cum[node_v] < v:
                     lookup(node1, nxt)
@@ -202,15 +202,22 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                 break
             b1, cum1 = node, c
             next1 += 1
-            if not children[node]:
+            if fsym[node] == NO_SYM:
                 return hits, b1, ref[node]
         else:
             if not covers1:
                 return hits, None, None
         while anchor + cum2 < m:
-            nxt = children[b2].get(chars[anchor + cum2])
-            if nxt is None:
-                return hits, None, None
+            # SuffixIndex.child, inlined here and below (a leaf's empty
+            # range would fail the search)
+            c = chars[anchor + cum2]
+            if fsym[b2] == c:
+                nxt = b2 + 1
+            else:
+                try:
+                    nxt = cid[csym.index(c, cstart[b2] + 1, cstart[b2 + 1])]
+                except ValueError:
+                    return hits, None, None
             c = cum[nxt]
             if c > t_init:
                 break
@@ -218,7 +225,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
             nav2 += step
             t2 += step                   # reads nothing of lane 1
             b2, cum2 = nxt, c
-            if not children[nxt]:
+            if fsym[nxt] == NO_SYM:
                 return hits, b1, ref[nxt] - anchor
         while True:
             # lane 1 has moved: shorten lane 2 from the left by the overlap
@@ -264,9 +271,15 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                     if not covers1:
                         return hits, None, None
                     raise AssertionError("both lanes stuck before covering Q")
-                nxt = children[b2].get(chars[e2])
-                if nxt is None:
-                    return hits, None, None
+                c = chars[e2]
+                if fsym[b2] == c:
+                    nxt = b2 + 1
+                else:
+                    try:
+                        nxt = cid[csym.index(c, cstart[b2] + 1,
+                                             cstart[b2 + 1])]
+                    except ValueError:
+                        return hits, None, None
                 c = cum[nxt]
                 if cum1 < c:
                     if next1 < n1:
@@ -283,7 +296,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                 nav2 += step
                 t2 = (t2 if t2 > ready else ready) + step
                 b2, cum2 = nxt, c
-                if not children[nxt]:
+                if fsym[nxt] == NO_SYM:
                     return hits, b1, ref[nxt] - anchor
                 if aligned:
                     window(b1, nxt)
@@ -291,7 +304,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
             peeked1 = next1
             b1, cum1 = walk1[next1]
             next1 += 1
-            if not children[b1]:
+            if fsym[b1] == NO_SYM:
                 return hits, b1, ref[b1]
     finally:
         nav1 = min(walk1[peeked1][1], half)

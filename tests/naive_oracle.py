@@ -53,11 +53,11 @@ def _insert_suffix(idx: SuffixIndex, s: int, e: int) -> None:
     cur = ROOT
     pos = s
     while True:
-        child = idx.children[cur].get(idx.at(pos))
+        child = idx.child_maps[cur].get(idx.at(pos))
         if child is None:
             leaf = idx.new_node(cur, e - pos + 1, s)
             idx.ref[leaf] = s
-            idx.children[cur][idx.at(pos)] = leaf
+            idx.child_maps[cur][idx.at(pos)] = leaf
             return
         lref = idx.leftmost_leaf_ref[child]
         j = idx.cum[cur] + 1
@@ -71,13 +71,13 @@ def _insert_suffix(idx: SuffixIndex, s: int, e: int) -> None:
             continue
         assert pos <= e, "suffix is a proper edge prefix"
         mid = idx.new_node(cur, (j - 1) - idx.cum[cur], lref)
-        idx.children[cur][idx.at(lref + idx.cum[cur])] = mid
+        idx.child_maps[cur][idx.at(lref + idx.cum[cur])] = mid
         idx.parent[child] = mid
         idx.skip[child] = idx.cum[child] - (j - 1)
-        idx.children[mid][idx.at(lref + j - 1)] = child
+        idx.child_maps[mid][idx.at(lref + j - 1)] = child
         leaf = idx.new_node(mid, e - pos + 1, s)
         idx.ref[leaf] = s
-        idx.children[mid][idx.at(pos)] = leaf
+        idx.child_maps[mid][idx.at(pos)] = leaf
         return
 
 
@@ -88,7 +88,7 @@ def walk_exact(tree: SuffixIndex, start: int, length: int) -> NodeId:
     """Node whose longest string is data[start .. start+length-1] exactly."""
     cur = ROOT
     while tree.cum[cur] < length:
-        cur = tree.children[cur][tree.at(start + tree.cum[cur])]
+        cur = tree.child(cur, tree.at(start + tree.cum[cur]))
     assert tree.cum[cur] == length
     return cur
 
@@ -97,7 +97,7 @@ def walk_cover(index: SuffixIndex, seq: Sequence[int]) -> NodeId:
     """First node with cumulative skip >= |seq| on seq's navigation path."""
     cur = ROOT
     while index.cum[cur] < len(seq):
-        cur = index.children[cur][seq[index.cum[cur]]]
+        cur = index.child(cur, seq[index.cum[cur]])
     return cur
 
 
@@ -108,8 +108,8 @@ def naive_occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
     stack = [nid]
     while stack:
         top = stack.pop()
-        if index.children[top]:
-            stack.extend(index.children[top].values())
+        if index.children(top):
+            stack.extend(child for _, child in index.children(top))
         elif index.ref[top]:
             pos = index.data_pos_to_text_pos(index.ref[top])
             if pos <= index.base_len:
@@ -197,7 +197,6 @@ class FullSweepDriver:
                  lane1: tuple[list[tuple[NodeId, int]], bool]) -> None:
         self.tree = tree
         self.cum, self.parent = tree.cum, tree.parent
-        self.children = tree.children
         self.anc = anc
         self.dct = dct
         self.pat = pat
@@ -247,7 +246,7 @@ class FullSweepDriver:
         """Move lane 1 onto the edge the caller has peeked."""
         self.b1, self.cum1 = self.walk1[self.next1]
         self.next1 += 1
-        if not self.children[self.b1]:
+        if not self.tree.children(self.b1):
             raise _LeafExit(self.tree.ref[self.b1])
         if reconcile:
             self._apply_overlap()
@@ -289,7 +288,7 @@ class FullSweepDriver:
             self._probe_ancestry(node1, node_v)
             # lane 2's next node may complete this split's stored pair
             if e2 < self.m:
-                nxt = self.children[node_v].get(self.pat.at(e2 + 1))
+                nxt = self.tree.child(node_v, self.pat.at(e2 + 1))
                 if nxt is not None:
                     self._lookup(node1, nxt)
         # the loop ends at lane 1's node, v == cum1
@@ -301,7 +300,7 @@ class FullSweepDriver:
         e2 = self.anchor + self.cum2
         if e2 >= self.m:
             return None
-        nxt = self.children[self.b2].get(self.pat.at(e2 + 1))
+        nxt = self.tree.child(self.b2, self.pat.at(e2 + 1))
         if nxt is None:
             raise _Absent
         return nxt
@@ -310,7 +309,7 @@ class FullSweepDriver:
         chars = min(self.tree.skip[node], self.m - self.anchor - self.cum2)
         self.ledger.charge("lane2", "nav_chars", chars, ready=ready)
         self.b2 = node
-        if not self.children[node]:
+        if not self.tree.children(node):
             raise _LeafExit(self.tree.ref[node] - self.anchor)
         if self.aligned:
             self._probe_ancestry(self.b1, self.b2)

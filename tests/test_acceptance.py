@@ -4,7 +4,7 @@ criterion.
 Criteria:
   1. oracle equivalence over >= 1000 randomized cases, zero mismatches
   2. trie-par accounting: nav work = m, probes = p - 1, span <= ceil(m/p) + lg p
-  3. tree-par2 bounds: nav <= ceil(m/2) + ceil(3m/4) + 2, span <= m + 4,
+  3. tree-par2 bounds: nav <= ceil(5m/4) + 2, span <= m + 4,
      probes <= 2m + 2
   4. interleaved bounds: per-layer probes <= 2(|pi1| + |pi2|), span <= 4(m/j)lg j
   5. structural suites (trie size, compression, layer height/leaves, parity,
@@ -185,7 +185,7 @@ def test_criterion_5_structural_suites():
         if len(trie) - 1 != len(distinct_substrings(text.symbols)):
             bad.append("trie substring count on %r" % raw)
         tree = build_suffix_tree(text)
-        if any(kids and len(kids) < 2 for kids in tree.children[1:]):
+        if any(len(tree.children(nid)) == 1 for nid in range(1, len(tree))):
             bad.append("tree compression on %r" % raw)
         if len(build_tree_halving_dict(tree)) != len(tree) - 1:
             bad.append("tree dict completeness on %r" % raw)
@@ -208,8 +208,8 @@ def test_criterion_5_structural_suites():
             height = max(tree.cum)
             if height > -(-(n + k) // k):
                 bad.append("layer height bound on %r k=%d" % (raw, k))
-            good_leaves = sum(1 for kids, ref in zip(tree.children, tree.ref)
-                              if not kids and ref
+            good_leaves = sum(1 for nid, ref in enumerate(tree.ref)
+                              if not tree.children(nid) and ref
                               and tree.data_pos_to_text_pos(ref) <= n)
             if good_leaves != n:
                 bad.append("layer leaf equality on %r k=%d" % (raw, k))
@@ -229,9 +229,9 @@ def test_criterion_6_golden_fixtures():
         bad.append("interleave halves")
 
     tree = build_suffix_tree(make_text(ABRA, 1))
-    if sum(not kids for kids in tree.children) != 12:
+    if sum(not tree.children(nid) for nid in range(len(tree))) != 12:
         bad.append("tree leaf count")
-    if len(tree.children[ROOT]) != 6:
+    if len(tree.children(ROOT)) != 6:
         bad.append("root child count")
 
     trie = build_suffix_trie(make_text(ABRA, 1))

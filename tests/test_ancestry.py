@@ -74,12 +74,12 @@ def test_level_ancestor_of_internal_node_is_internal(raw, loaded):
     tree = load_container(dump_container(cont)).index if loaded \
         else cont.index
     anc = build_ancestry(tree)
-    for nid, children in enumerate(tree.children):
-        if not children:
+    for nid in range(len(tree)):
+        if not tree.children(nid):
             continue
         for d in range(1, tree.cum[nid]):
             got = level_ancestor_sl(anc, nid, d)
-            assert tree.children[got] and \
+            assert tree.children(got) and \
                 tree.cum[got] == tree.cum[nid] - d, (nid, d)
 
 
@@ -87,8 +87,8 @@ def test_relabelled_edge_has_no_suffix_link():
     """abab's tree with the root's edge for 'b' relabelled 'c' (the edit
     the loader now rejects in a container): "ab" has no link target."""
     tree = build_suffix_tree(make_text(b"abab", 1))
-    children = tree.children[ROOT]
-    children[ord("c")] = children.pop(ord("b"))
+    tree.csym[tree.csym.index(ord("b"), tree.cstart[ROOT],
+                              tree.cstart[ROOT + 1])] = ord("c")
     with pytest.raises(AncestryError, match="suffix link"):
         build_ancestry(tree)
 

@@ -12,7 +12,7 @@ from parsuffix import (build_ancestry, build_container, build_layered_index,
                        dump_container, load_container, make_text, occurrences)
 from parsuffix.ancestry import suffix_links
 from parsuffix.serial import Container
-from parsuffix.suffixindex import NO_CHILDREN, ROOT
+from parsuffix.suffixindex import ROOT, descend, navigate
 
 from conftest import fibonacci_text, periodic_text, random_text
 from naive_oracle import (naive_layered_index, naive_occurrences,
@@ -43,9 +43,9 @@ def assert_same_nodes(got, want):
     assert len(got) == len(want)
     for nid in range(len(got)):
         assert (got.parent[nid], got.skip[nid], got.ref[nid],
-                got.children[nid]) == \
+                got.children(nid)) == \
             (want.parent[nid], want.skip[nid], want.ref[nid],
-             want.children[nid]), "node %d" % nid
+             want.children(nid)), "node %d" % nid
 
 
 @pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
@@ -86,21 +86,23 @@ def test_layers_match_oracle(raw):
 
 
 def assert_finalized(index, n):
-    """What finalize sets, node by node: sorted children (the shared
-    empty map on leaves), the leftmost leaf's ref, and the leaf-order
-    range against the subtree walk."""
+    """What finalize sets, node by node: children in symbol order (each
+    child's own edge symbol and parent agreeing), the leftmost leaf's
+    ref, and the leaf-order range against the subtree walk."""
     lo, hi = index.leaf_lo, index.leaf_hi
     assert sorted(index.leaf_pos[lo[ROOT]:hi[ROOT]]) == list(range(1, n + 1))
     tail = 0
-    for nid, children in enumerate(index.children):
-        assert list(children) == sorted(children), nid
-        assert children or children is NO_CHILDREN, nid
+    for nid in range(len(index)):
+        children = index.children(nid)
+        assert [c for c, _ in children] == sorted(c for c, _ in children)
+        assert all(index.sym[child] == c and index.parent[child] == nid
+                   for c, child in children), nid
         first = nid
-        while index.children[first]:
-            first = next(iter(index.children[first].values()))
+        while index.children(first):
+            first = index.children(first)[0][1]
         assert index.leftmost_leaf_ref[nid] == index.ref[first], nid
         assert occurrences(index, nid) == naive_occurrences(index, nid), nid
-        for child in children.values():
+        for _, child in children:
             assert lo[nid] <= lo[child] <= hi[child] <= hi[nid], (nid, child)
         if not children and \
                 index.data_pos_to_text_pos(index.ref[nid]) > n:
@@ -120,6 +122,32 @@ def test_reporting_range_matches_subtree_walk(raw):
         for cont in (built, load_container(dump_container(built))):
             for k in (1, 2, 4):
                 assert_finalized(cont.layered.layers[k].tree, len(raw))
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
+def test_lookup_at_a_leaf_finds_nothing(raw):
+    """A leaf's range of the child table is empty, and the entry at its
+    start belongs to a later node: every lookup there must fail, for every
+    symbol of the data, in the method and in the inlined descents."""
+    conts = [build_container(raw, "tree"), build_container(raw[:TRIE_N], "trie")]
+    if raw:
+        conts.append(Container("interleaved", raw, 4,
+                               layered=build_layered_index(raw, 4)))
+    for cont in conts + [load_container(dump_container(c)) for c in conts]:
+        for index in cont.blocks()[0]:
+            symbols = set(index.data)
+            for leaf in range(len(index)):
+                if index.children(leaf):
+                    continue
+                spelling = index.spelling(leaf)
+                for c in symbols:
+                    assert index.child(leaf, c) is None, (leaf, c)
+                    walk = spelling + (c,)
+                    assert navigate(index, walk) == \
+                        (leaf, len(spelling), False), (leaf, c)
+                    path, covered = descend(index, walk)
+                    assert path[-1] == (leaf, len(spelling)) and \
+                        not covered, (leaf, c)
 
 
 def test_unary_stack_builds_in_linear_time():

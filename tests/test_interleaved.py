@@ -35,8 +35,8 @@ def test_nondelimiter_leaf_equality():
     n = len(ABRA)
     for k in (1, 2, 4, 8):
         tree = build_layer(ABRA, k).tree
-        good = sum(1 for children, ref in zip(tree.children, tree.ref)
-                   if not children and ref
+        good = sum(1 for nid, ref in enumerate(tree.ref)
+                   if not tree.children(nid) and ref
                    and tree.data_pos_to_text_pos(ref) <= n)
         assert good == n, k
 

@@ -5,6 +5,9 @@ import random
 import sys
 import threading
 
+import pytest
+
+from parsuffix import lanes
 from parsuffix import (StepLedger, build_ancestry, build_layered_index,
                        build_suffix_tree, build_suffix_trie,
                        build_tree_halving_dict, build_trie_halving_dict,
@@ -74,3 +77,31 @@ def test_threaded_ledgers_under_forced_switches():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in callers)
     assert [got[k] for k in range(3)] == [want] * 3
+
+
+def test_thread_map_forks_and_joins(monkeypatch):
+    """The calling thread runs the first lane and the pool the others; a
+    one-lane map submits nothing; an exception from any lane
+    propagates."""
+    caller = threading.current_thread()
+    where = thread_map(lambda _: threading.current_thread(), range(3))
+    assert where[0] is caller
+    assert all(t is not caller and t.name.startswith("parsuffix-lane")
+               for t in where[1:])
+
+    def fail(i, bad):
+        if i == bad:
+            raise ValueError(i)
+        return i
+
+    for bad in range(3):
+        with pytest.raises(ValueError, match=str(bad)):
+            thread_map(lambda i: fail(i, bad), range(3))
+
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("a one-lane map submitted a task")
+
+    monkeypatch.setattr(lanes, "_pool", NoPool())
+    assert thread_map(lambda x: x + 1, [41]) == [42]
+    assert thread_map(lambda x: x + 1, []) == []

@@ -25,10 +25,10 @@ def same_nodes(a, b):
     assert len(a) == len(b)
     for nid in range(len(a)):
         assert (a.parent[nid], a.skip[nid], a.cum[nid], a.ref[nid],
-                a.children[nid], a.leftmost_leaf_ref[nid], a.leaf_lo[nid],
+                a.children(nid), a.leftmost_leaf_ref[nid], a.leaf_lo[nid],
                 a.leaf_hi[nid]) == \
                (b.parent[nid], b.skip[nid], b.cum[nid], b.ref[nid],
-                b.children[nid], b.leftmost_leaf_ref[nid], b.leaf_lo[nid],
+                b.children(nid), b.leftmost_leaf_ref[nid], b.leaf_lo[nid],
                 b.leaf_hi[nid])
     assert a.leaf_pos == b.leaf_pos
 
@@ -53,15 +53,16 @@ def test_roundtrip_structure(kind, p):
 
 def assert_preorder(index):
     """Node ids are the preorder of a walk that visits children in symbol
-    order, and each child map agrees with its children's parent field."""
+    order, and each node's children agree with their parent field."""
     order, stack = [], [0]
     while stack:
         nid = stack.pop()
         order.append(nid)
-        children = index.children[nid]
-        assert list(children) == sorted(children), nid
-        assert all(index.parent[c] == nid for c in children.values()), nid
-        stack.extend(reversed(children.values()))
+        syms = [c for c, _ in index.children(nid)]
+        children = [child for _, child in index.children(nid)]
+        assert syms == sorted(syms), nid
+        assert all(index.parent[c] == nid for c in children), nid
+        stack.extend(reversed(children))
     assert order == list(range(len(index)))
 
 
@@ -302,19 +303,17 @@ def test_tree_missing_a_suffix_rejected():
     ABRA with (8,) where the text has (1, 8)."""
     cont = build_container(ABRA, "tree")
     index = cont.index
-    gone = next(nid for nid, children in enumerate(index.children)
-                if not children and index.ref[nid] == 1)
+    gone = next(nid for nid in range(len(index))
+                if not index.children(nid) and index.ref[nid] == 1)
 
     def renum(nid):
         return nid - (nid > gone)
 
-    for nid, children in enumerate(index.children):
-        index.children[nid] = {sym: renum(c) for sym, c in children.items()
-                               if c != gone}
+    for nid in range(len(index)):
         if index.parent[nid] != NO_PARENT:
             index.parent[nid] = renum(index.parent[nid])
     for field in (index.parent, index.skip, index.cum, index.ref,
-                  index.leftmost_leaf_ref, index.children):
+                  index.leftmost_leaf_ref, index.sym):
         del field[gone]
     cont.dct.entries = {renum(a) << 32 | renum(b): renum(w)
                         for (a, b), w in cont.dct.pairs()
@@ -331,17 +330,14 @@ def split_first_long_edge(index):
     mid = next(nid for nid in range(1, len(index)) if index.skip[nid] > 1)
     parent, lref = index.parent[mid], index.leftmost_leaf_ref[mid]
     depth = index.cum[parent]
-    index.children = [{sym: shifted(c, mid) for sym, c in children.items()}
-                      if children else children
-                      for children in index.children]
     for nid, par in enumerate(index.parent):
         index.parent[nid] = shifted(par, mid)
     for field, value in ((index.parent, parent), (index.skip, 1),
                          (index.cum, depth + 1), (index.ref, 0),
                          (index.leftmost_leaf_ref, lref),
-                         (index.children, {index.data[lref + depth]: mid + 1})):
+                         (index.sym, index.sym[mid])):
         field.insert(mid, value)
-    index.children[parent][index.data[lref - 1 + depth]] = mid
+    index.sym[mid + 1] = index.data[lref + depth]
     index.parent[mid + 1] = mid
     index.skip[mid + 1] -= 1
     return mid

@@ -2,13 +2,15 @@
 
 import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parsuffix import (ROOT, build_ancestry, build_suffix_tree,
-                       build_suffix_trie, build_tree_halving_dict, descend,
+from parsuffix import (ROOT, build_ancestry, build_container,
+                       build_suffix_tree, build_suffix_trie,
+                       build_tree_halving_dict, descend,
                        dump_container, load_container, make_text, navigate,
                        occurrences, verify_against_text)
 from parsuffix.interleaved import build_layer
@@ -34,11 +36,12 @@ def test_trie_counts_distinct_substrings(abra_text, abra_trie):
 
 
 def test_tree_golden_shape(abra_tree):
-    leaves = [kids for kids in abra_tree.children if not kids]
+    leaves = [nid for nid in range(len(abra_tree))
+              if not abra_tree.children(nid)]
     assert len(leaves) == 12
-    assert len(abra_tree.children[ROOT]) == 6
+    assert len(abra_tree.children(ROOT)) == 6
     internal = [nid for nid in range(1, len(abra_tree))
-                if abra_tree.children[nid]]
+                if abra_tree.children(nid)]
     labels = {bytes(abra_tree.data[abra_tree.leftmost_leaf_ref[n] - 1:
                                    abra_tree.leftmost_leaf_ref[n] - 1 +
                                    abra_tree.cum[n]])
@@ -49,11 +52,11 @@ def test_tree_golden_shape(abra_tree):
 
 def test_tree_unary_chain():
     tree = build_suffix_tree(make_text(b"AAAA", 1))
-    leaves = sum(not kids for kids in tree.children)
+    leaves = sum(not tree.children(nid) for nid in range(len(tree)))
     assert leaves == 5
-    internal = [nid for nid in range(1, len(tree)) if tree.children[nid]]
+    internal = [nid for nid in range(1, len(tree)) if tree.children(nid)]
     assert sorted(tree.cum[nid] for nid in internal) == [1, 2, 3]
-    assert all(len(tree.children[nid]) == 2 for nid in internal)
+    assert all(len(tree.children(nid)) == 2 for nid in internal)
 
 
 def test_tree_single_symbol():
@@ -124,18 +127,19 @@ def test_tree_compression_property():
     for _ in range(25):
         raw = random_text(rng, rng.randrange(1, 80), rng.choice([1, 2, 4]))
         tree = build_suffix_tree(make_text(raw, 1))
-        for kids in tree.children[1:]:
-            assert not kids or len(kids) >= 2
-        assert sum(not kids for kids in tree.children) == len(raw) + 1
+        kids = [tree.children(nid) for nid in range(len(tree))]
+        for k in kids[1:]:
+            assert not k or len(k) >= 2
+        assert sum(not k for k in kids) == len(raw) + 1
 
 
 def test_generalized_tree_leaf_positions():
     layer = build_layer(ABRA, 4).tree
     subs = interleave(make_text(ABRA, 4).symbols, 4)
-    assert sum(not kids for kids in layer.children) == \
+    assert sum(not layer.children(nid) for nid in range(len(layer))) == \
         sum(len(s) for s in subs)
-    for kids, ref in zip(layer.children, layer.ref):
-        if not kids and ref:
+    for nid, ref in enumerate(layer.ref):
+        if not layer.children(nid) and ref:
             pos = layer.data_pos_to_text_pos(ref)
             # leaf of subsequence i starts at text position ≡ i (mod 4)
             assert 1 <= pos <= len(make_text(ABRA, 4).symbols)
@@ -197,3 +201,37 @@ def test_index_holds_a_few_collector_objects():
         gc.enable()
     assert len(tree) > 7000 and len(loaded.index) == len(tree)
     assert built < 100 and loaded_objects < 100, (built, loaded_objects)
+
+
+def _traced_bytes(make):
+    """What ``make()`` returns, and the bytes allocated while it ran that
+    are still held when it returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        obj = make()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return obj, held
+
+
+def test_index_holds_no_per_node_maps():
+    """A finished index is a few arrays, about 45 B per node: a child map
+    per node would cost 64 B or more each (a built trie of 200 chars was
+    287 B per node with them, a loaded tree of 4000 chars 187)."""
+    raw = random_text(random.Random(4), 200, 2)
+    trie, held = _traced_bytes(lambda: build_suffix_trie(make_text(raw, 1)))
+    assert len(trie) > 15000
+    assert held / len(trie) < 64, held / len(trie)
+
+    raw = random_text(random.Random(4), 4000, 2)
+    blob = dump_container(build_container(raw, "tree"))
+
+    def load_index():
+        cont = load_container(blob)
+        return cont.index        # the dictionary is freed on return
+
+    tree, held = _traced_bytes(load_index)
+    assert len(tree) > 7000
+    assert held / len(tree) < 64, held / len(tree)
