@@ -47,23 +47,28 @@ def suffix_links(tree: SuffixIndex) -> list[NodeId]:
         raise ValueError("suffix links require a suffix tree")
     parent = tree.parent
     cum = tree.cum
-    child = tree.child
+    fsym, child = tree.fsym, tree.child
     lrefs = tree.leftmost_leaf_ref
     data = tree.data
-    end = len(data)
     links = [ROOT] * len(cum)          # a list reads back without boxing
     for nid in range(1, len(cum)):     # node ids are a preorder
         want = cum[nid] - 1
         first = lrefs[nid]               # data[first + d]: link symbol d
         cur = links[parent[nid]]
         depth = cum[cur]
-        while depth < want:
-            cur = child(cur, data[first + depth]) \
-                if first + depth < end else None
-            if cur is None:
-                raise AncestryError("suffix link target missing "
-                                    "(not a suffix tree)")
-            depth = cum[cur]
+        try:
+            while depth < want:
+                # SuffixIndex.child, its first-child test inlined
+                c = data[first + depth]
+                cur = cur + 1 if fsym[cur] == c else child(cur, c)
+                if cur is None:
+                    break
+                depth = cum[cur]
+        except IndexError:
+            cur = None
+        if cur is None:
+            raise AncestryError("suffix link target missing "
+                                "(not a suffix tree)")
         if depth != want:
             raise AncestryError("suffix link target overshoots "
                                 "(not a suffix tree)")

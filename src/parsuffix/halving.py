@@ -65,34 +65,32 @@ def probe(d: PairDict, a: NodeId, b: NodeId) -> Optional[NodeId]:
 def build_trie_halving_dict(trie: SuffixIndex) -> PairDict:
     """One entry per non-root node, in O(1) per node.
 
-    Breadth first, each node derives its halves from its parent's: the
-    left half gains a character when the depth turns odd, and the right
-    half then loses its first character (a trie suffix link) before
-    gaining the new last one.
+    Shallower nodes first, each node derives its halves from its
+    parent's: the left half gains a character when the depth turns odd,
+    and the right half then loses its first character (a trie suffix
+    link) before gaining the new last one.
     """
     if trie.kind != "trie":
         raise ValueError("trie halving dictionary requires a suffix trie")
-    child, children = trie.child, trie.children
+    child = trie.child
+    parent, cum, sym = trie.parent, trie.cum, trie.sym
     lrefs = trie.leftmost_leaf_ref
     data = trie.data
     link = array("i", [ROOT]) * len(trie)
     a1 = array("i", link)
     a2 = array("i", link)
-    order = [ROOT]
-    for u in order:                   # shallower nodes come first
-        depth = trie.cum[u] + 1
-        for c, x in children(u):
-            order.append(x)
-            if u != ROOT:
-                link[x] = child(link[u], c)
-            if depth % 2:
-                mid = data[lrefs[x] - 1 + depth // 2]
-                a1[x] = child(a1[u], mid)
-                if a2[u] != ROOT:
-                    a2[x] = child(link[a2[u]], c)
-            else:
-                a1[x] = a1[u]
-                a2[x] = child(a2[u], c)
+    for x in sorted(range(1, len(trie)), key=cum.__getitem__):
+        u, c, depth = parent[x], sym[x], cum[x]
+        if u != ROOT:
+            link[x] = child(link[u], c)
+        if depth % 2:
+            mid = data[lrefs[x] - 1 + depth // 2]
+            a1[x] = child(a1[u], mid)
+            if a2[u] != ROOT:
+                a2[x] = child(link[a2[u]], c)
+        else:
+            a1[x] = a1[u]
+            a2[x] = child(a2[u], c)
     d = PairDict(owner=trie, target=trie)
     for nid in range(1, len(trie)):
         d.add(a1[nid], a2[nid], nid)
@@ -114,26 +112,28 @@ def build_tree_halving_dict(tree: SuffixIndex) -> PairDict:
     if tree.kind != "tree":
         raise ValueError("tree halving dictionary requires a suffix tree")
     anc = build_ancestry(tree)
-    child, children = tree.child, tree.children
-    cum = tree.cum
+    fsym, child = tree.fsym, tree.child
+    parent, cum, sym = tree.parent, tree.cum, tree.sym
     left = array("i", range(len(tree)))     # a root child x: (x, ROOT)
     right_part = array("i", [ROOT]) * len(tree)
-    path: list[NodeId] = []
+    b1s = array("i", right_part)            # by inner node u: its b1 and
+    bases = array("i", right_part)          # the node b2's parent
+    path: list[NodeId] = []                 # the root path, root left out
     cums: list[int] = []
-    stack = [(nid, 0) for _, nid in children(ROOT)]
-    while stack:
-        u, depth = stack.pop()
-        kids = children(u)
-        if not kids:
-            continue
-        del path[depth:], cums[depth:]
-        path.append(u)
-        cums.append(cum[u])
-        b1 = path[bisect_left(cums, (cum[u] + 2) // 2)]
-        right = level_ancestor_sl(anc, u, cum[b1])
-        for c, x in kids:
-            left[x], right_part[x] = b1, child(right, c)
-            stack.append((x, depth + 1))
+    for x in range(1, len(tree)):           # preorder: u before x
+        u = parent[x]
+        while path and path[-1] != u:
+            path.pop()
+            cums.pop()
+        if u != ROOT:
+            if x == u + 1:                  # u's first child
+                b1 = b1s[u] = path[bisect_left(cums, (cum[u] + 2) // 2)]
+                bases[u] = level_ancestor_sl(anc, u, cum[b1])
+            base, c = bases[u], sym[x]
+            left[x] = b1s[u]
+            right_part[x] = base + 1 if fsym[base] == c else child(base, c)
+        path.append(x)
+        cums.append(cum[x])
     d = PairDict(owner=tree, target=tree)
     for nid in range(1, len(tree)):
         d.add(left[nid], right_part[nid], nid)

@@ -87,10 +87,10 @@ def _cover(index: SuffixIndex, cur: NodeId, data: Sequence[int], first: int,
            length: int) -> NodeId:
     """First node with cumulative skip >= ``length`` on the navigation path
     of data[first], data[first + 2], ..., resuming at ``cur`` on that path."""
-    cum = index.cum
-    child = index.child
+    cum, fsym, child = index.cum, index.fsym, index.child
     while cum[cur] < length:
-        nxt = child(cur, data[first + 2 * cum[cur]])
+        c = data[first + 2 * cum[cur]]
+        nxt = cur + 1 if fsym[cur] == c else child(cur, c)
         if nxt is None:
             raise PairDictError("layer navigation fell off (layer mismatch)")
         cur = nxt

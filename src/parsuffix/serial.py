@@ -66,14 +66,14 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress, islice, repeat
-from operator import add, le, lt, mul, sub
+from operator import add, eq, le, lt, ne
 from typing import Optional
 
 from .halving import (PairDict, build_tree_halving_dict,
                       build_trie_halving_dict)
 from .interleaved import LayerIndex, LayeredIndex, build_layered_index
 from .lanes import is_pow2
-from .suffixindex import (NO_PARENT, SuffixIndex, build_suffix_tree,
+from .suffixindex import (NO_PARENT, NO_SYM, SuffixIndex, build_suffix_tree,
                           build_suffix_trie, child_table, gather)
 from .textmodel import make_text
 
@@ -248,9 +248,12 @@ def _unpack_index(rd: _Reader, raw: bytes, kind: str,
     if len(pos) != n or len(set(pos)) != n or (n and min(pos) < 1):
         raise ContainerError("the leaves are not the text's %d suffixes, "
                              "each once" % n)
+    # an inner node with no later child has one child
     cstart = index.cstart
-    if kind == "tree" and 1 in map(sub, islice(cstart, 2, None),
-                                   islice(cstart, 1, None)):
+    if kind == "tree" and any(map(ne, compress(
+            islice(index.fsym, 1, None),
+            map(eq, islice(cstart, 1, None), islice(cstart, 2, None))),
+            repeat(NO_SYM))):
         raise ContainerError("a tree's inner node other than the root has "
                              "one child")
     return index
@@ -292,15 +295,18 @@ def _cums(parent: array, skip: array) -> array:
 
 def _set_child_table(index: SuffixIndex, sym: array) -> None:
     """The child table from the parent and sym columns, as finalize
-    derives it.  Within one node's range the symbols must rise: the
-    children are in symbol order, no two sharing a symbol."""
+    derives it.  Each later child's symbol must be above its previous
+    sibling's (the table entry before it, or for a second child the
+    first child's): children in symbol order, no two sharing a symbol."""
     fsym, cstart, cid, csym = child_table(index.parent, sym)
-    # (parent, symbol) of each table entry, packed; rising across groups
-    keys = list(map(add, map(mul, gather(index.parent, cid), repeat(1 << 16)),
-                    csym))
-    if not all(map(lt, keys, islice(keys, 1, None))):
-        raise ContainerError("two children of one node share a symbol or "
-                             "are out of symbol order")
+    group = last = -1
+    for par, c in zip(gather(index.parent, cid), csym):
+        if par != group:
+            group, last = par, fsym[par]
+        if c <= last:
+            raise ContainerError("two children of node %d share a symbol "
+                                 "or are out of symbol order" % par)
+        last = c
     index.child_maps = None
     index.sym = sym
     index.fsym, index.cstart, index.cid, index.csym = fsym, cstart, cid, csym

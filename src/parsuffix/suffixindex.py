@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import Counter
-from itertools import accumulate, chain, islice, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice
+from operator import itemgetter, ne
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .textmodel import Pattern, Text, interleave
@@ -54,24 +53,23 @@ class SuffixIndex:
       root) and ``fsym`` that of its first child's (:data:`NO_SYM` for a
       leaf), ``array("H")``s: the symbols, delimiters included, must fit
       16 bits, as in the container, and stay below ``NO_SYM``;
-    - the child table lists every node's children in symbol order, one
-      node after another: node v's are ``cid[cstart[v]:cstart[v + 1]]``,
-      with their edge symbols at the same places of ``csym``
-      (``cstart`` has one entry more than there are nodes), so a leaf's
-      range is empty.
+    - in preorder an inner node's first child is the next id, so only
+      the later children need a table: node v's are
+      ``cid[cstart[v]:cstart[v + 1]]`` in symbol order, with their edge
+      symbols at the same places of ``csym`` (``cstart`` has one entry
+      more than there are nodes).
 
-    In preorder a node's first child is the next id, so a lookup first
-    compares ``fsym`` (one read, the whole lookup on a unary chain) and
-    only then searches the rest of the node's range with ``csym.index``.
-    :meth:`child` does that and :meth:`children` lists the range; the
-    query loops inline the lookup.
+    A lookup compares ``fsym`` (one read, the whole lookup on a unary
+    chain) and only then searches the node's later children with
+    ``csym.index``.  :meth:`child` does that and :meth:`children` lists
+    them all; the query loops inline the lookup.
 
     A finished index is a handful of arrays: no object per node, and
-    nothing CPython's collector tracks per node.  The child table and
-    the two symbol columns cost 14 B per node.  A suffix tree of a random
-    binary text of 16000 symbols holds about 49 B per node in all, a
-    suffix trie of 200 symbols about 44 (tracemalloc, CPython 3.11); with
-    a child dict per node they held 183 and 287.
+    nothing CPython's collector tracks per node.  The two symbol columns
+    and ``cstart`` cost 8 B per node, a later child 6 B more.  A suffix
+    tree of a random binary text of 16000 symbols holds about 46 B per
+    node in all, a suffix trie of 200 symbols about 30 (tracemalloc,
+    CPython 3.11); with a child dict per node they held 183 and 287.
 
     While a builder adds nodes, ``child_maps`` holds one symbol -> child
     dict per node (None for a leaf the builder will not extend);
@@ -138,12 +136,12 @@ class SuffixIndex:
         """The child of a finished index's node ``nid`` whose edge starts
         with ``sym``; None if there is none, as always at a leaf."""
         first = self.fsym[nid]
-        if first == NO_SYM:
-            return None
         if first == sym:
             return nid + 1
+        if first == NO_SYM:
+            return None
         try:
-            return self.cid[self.csym.index(sym, self.cstart[nid] + 1,
+            return self.cid[self.csym.index(sym, self.cstart[nid],
                                             self.cstart[nid + 1])]
         except ValueError:
             return None
@@ -151,8 +149,12 @@ class SuffixIndex:
     def children(self, nid: NodeId) -> list[tuple[int, NodeId]]:
         """The (edge symbol, child) pairs of a finished index's node, in
         symbol order; empty for a leaf."""
+        first = self.fsym[nid]
+        if first == NO_SYM:
+            return []
         lo, hi = self.cstart[nid], self.cstart[nid + 1]
-        return list(zip(self.csym[lo:hi], self.cid[lo:hi]))
+        return [(first, nid + 1)] + list(zip(self.csym[lo:hi],
+                                             self.cid[lo:hi]))
 
     def spelling(self, nid: NodeId) -> tuple[int, ...]:
         """The node's longest corresponding substring."""
@@ -259,18 +261,24 @@ def child_table(parent: array, sym: array
                 ) -> tuple[array, array, array, array]:
     """``fsym``, ``cstart``, ``cid`` and ``csym`` of a tree whose ids are
     a preorder, children in symbol order, from each node's parent and edge
-    symbol: the non-root ids grouped by parent, in id order within a group
-    (a stable sort), and each node's group start as a running count of
-    the children of the nodes before it."""
-    n = len(parent)
-    cid = array("i", sorted(range(1, n), key=parent.__getitem__))
-    csym = array("H", gather(sym, cid))
-    degree = Counter(islice(parent, 1, None))
-    cstart = array("i", accumulate(map(degree.get, range(n), repeat(0)),
-                                   initial=0))
-    fsym = array("H", [csym[lo] if lo < hi else NO_SYM
-                       for lo, hi in zip(cstart, islice(cstart, 1, None))])
-    return fsym, cstart, cid, csym
+    symbol.  Node v + 1 is v's first child unless v is a leaf; every other
+    child is a later one, and the table lists those grouped by parent, in
+    id order within a group (a stable sort), each node's group starting
+    at the count of later children of the nodes before it."""
+    parents = parent.tolist()          # a list reads back without boxing
+    n = len(parents)
+    # w is a later child where w - 1 is not its parent, so w - 1 is a leaf
+    later = list(compress(range(1, n), map(ne, islice(parents, 1, None),
+                                           range(n - 1))))
+    fsym = sym[1:]
+    fsym.append(NO_SYM)
+    count = [0] * n
+    for w in later:
+        fsym[w - 1] = NO_SYM
+        count[parents[w]] += 1
+    cid = array("i", sorted(later, key=parents.__getitem__))
+    return (fsym, array("i", list(accumulate(count, initial=0))), cid,
+            array("H", gather(sym, cid)))
 
 
 def gather(values: Sequence[int] | Mapping[int, int],
@@ -438,7 +446,7 @@ def descend(index: SuffixIndex, seq: Sequence[int]
             return path, False
         else:
             try:
-                cur = cid[csym.index(c, cstart[cur] + 1, cstart[cur + 1])]
+                cur = cid[csym.index(c, cstart[cur], cstart[cur + 1])]
             except ValueError:
                 return path, False
         cum = cums[cur]
@@ -463,7 +471,7 @@ def navigate(index: SuffixIndex, seq: Sequence[int]
             return cur, cum, False
         else:
             try:
-                cur = cid[csym.index(c, cstart[cur] + 1, cstart[cur + 1])]
+                cur = cid[csym.index(c, cstart[cur], cstart[cur + 1])]
             except ValueError:
                 return cur, cum, False
         cum = cums[cur]

@@ -215,7 +215,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                 nxt = b2 + 1
             else:
                 try:
-                    nxt = cid[csym.index(c, cstart[b2] + 1, cstart[b2 + 1])]
+                    nxt = cid[csym.index(c, cstart[b2], cstart[b2 + 1])]
                 except ValueError:
                     return hits, None, None
             c = cum[nxt]
@@ -276,7 +276,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                     nxt = b2 + 1
                 else:
                     try:
-                        nxt = cid[csym.index(c, cstart[b2] + 1,
+                        nxt = cid[csym.index(c, cstart[b2],
                                              cstart[b2 + 1])]
                     except ValueError:
                         return hits, None, None
