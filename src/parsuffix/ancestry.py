@@ -47,7 +47,7 @@ def suffix_links(tree: SuffixIndex) -> list[NodeId]:
         raise ValueError("suffix links require a suffix tree")
     parent = tree.parent
     cum = tree.cum
-    fsym, child = tree.fsym, tree.child
+    child = tree.child
     lrefs = tree.leftmost_leaf_ref
     data = tree.data
     links = [ROOT] * len(cum)          # a list reads back without boxing
@@ -58,9 +58,7 @@ def suffix_links(tree: SuffixIndex) -> list[NodeId]:
         depth = cum[cur]
         try:
             while depth < want:
-                # SuffixIndex.child, its first-child test inlined
-                c = data[first + depth]
-                cur = cur + 1 if fsym[cur] == c else child(cur, c)
+                cur = child(cur, data[first + depth])
                 if cur is None:
                     break
                 depth = cum[cur]

@@ -112,7 +112,7 @@ def build_tree_halving_dict(tree: SuffixIndex) -> PairDict:
     if tree.kind != "tree":
         raise ValueError("tree halving dictionary requires a suffix tree")
     anc = build_ancestry(tree)
-    fsym, child = tree.fsym, tree.child
+    child = tree.child
     parent, cum, sym = tree.parent, tree.cum, tree.sym
     left = array("i", range(len(tree)))     # a root child x: (x, ROOT)
     right_part = array("i", [ROOT]) * len(tree)
@@ -129,9 +129,7 @@ def build_tree_halving_dict(tree: SuffixIndex) -> PairDict:
             if x == u + 1:                  # u's first child
                 b1 = b1s[u] = path[bisect_left(cums, (cum[u] + 2) // 2)]
                 bases[u] = level_ancestor_sl(anc, u, cum[b1])
-            base, c = bases[u], sym[x]
-            left[x] = b1s[u]
-            right_part[x] = base + 1 if fsym[base] == c else child(base, c)
+            left[x], right_part[x] = b1s[u], child(bases[u], sym[x])
         path.append(x)
         cums.append(cum[x])
     d = PairDict(owner=tree, target=tree)

@@ -87,10 +87,10 @@ def _cover(index: SuffixIndex, cur: NodeId, data: Sequence[int], first: int,
            length: int) -> NodeId:
     """First node with cumulative skip >= ``length`` on the navigation path
     of data[first], data[first + 2], ..., resuming at ``cur`` on that path."""
-    cum, fsym, child = index.cum, index.fsym, index.child
+    cum = index.cum
+    child = index.child
     while cum[cur] < length:
-        c = data[first + 2 * cum[cur]]
-        nxt = cur + 1 if fsym[cur] == c else child(cur, c)
+        nxt = child(cur, data[first + 2 * cum[cur]])
         if nxt is None:
             raise PairDictError("layer navigation fell off (layer mismatch)")
         cur = nxt

@@ -26,28 +26,35 @@ Layout, version 2 (all integers little-endian):
 Node ids are a preorder with children in symbol order
 (:meth:`~parsuffix.suffixindex.SuffixIndex.finalize`), so every subtree
 is one contiguous id range and a node's first child is the next id.  The
-loader therefore reads each column with one ``frombytes`` and derives
-the rest in linear passes over the columns, with no tree walk and no
-sort: cumulative skips and child maps top-down, subtree sizes and
-leftmost leaf refs bottom-up, and the reporting range as a running count
-of the reported leaves.  Ids survive a round trip unchanged, so
-dictionary triples and query traces stay comparable.  A pair
-dictionary's packed keys (``a << 32 | b``) sort as the (a, b) pairs do,
-so the triples come out in the same order.
+sym column is the index's own, written and read as it is.  The loader
+reads each column with one ``frombytes`` and derives the rest in linear
+passes over the columns, with no tree walk: cumulative skips top-down,
+subtree sizes and leftmost leaf refs bottom-up, and the reporting range
+as a running count of the reported leaves.  The child table comes from
+the parent and sym columns as ``finalize`` derives it
+(:func:`~parsuffix.suffixindex.child_table`): a node whose next id is
+not its child is a leaf, and the later children are sorted by parent.
+Ids survive a round trip unchanged, so dictionary triples and query
+traces stay comparable.  A pair dictionary's packed keys
+(``a << 32 | b``) sort as the (a, b) pairs do, so the triples come out
+in the same order.
 
 Loading raises ``ContainerError`` unless the header's ``p`` is 1 for a
 trie or tree and a power of two for an interleaved index, every index
 block has the stride its position implies (1 for a trie or tree, k for
 layer k) and spells one tree in preorder rooted at node 0 (each parent
-id below its child's, each node's id range inside its parent's, no two
-children of a node sharing a symbol, no empty edges and none on the
-root, only one-symbol edges in a trie, refs inside the data) whose
+id below its child's, each node's id range inside its parent's, no empty
+edges and none on the root, only one-symbol edges in a trie, refs inside
+the data) whose children come in rising symbol order, so no two share
+one (checked along the child table: each later child against the entry
+before it, a second child against the first child's ``fsym``), whose
 leaves report every text position exactly once, each leaf at its
 suffix's depth, every edge symbol is the data symbol at that depth below
 its child's leftmost leaf, every dictionary block maps each non-root
 node of its target exactly once from distinct pairs, every non-root
-inner node of a tree (plain or layer) has two children or more, the
-input ends with the last block, and the digest matches.
+inner node of a tree (plain or layer) has a later child, that is two
+children or more, the input ends with the last block, and the digest
+matches.
 
 The digest covers what no structural check can: the raw text (a changed
 symbol can keep every edge symbol and depth consistent) and which pair a

@@ -3,9 +3,9 @@
 Both index kinds share one struct-of-arrays node store
 (:class:`SuffixIndex`), after the enhanced suffix array's tables of
 Abouelhoda, Kurtz & Ohlebusch (2004): a node is an id into a few
-``array`` fields, not an object, its children are a range of one flat
-child table, and the ids of a finished index are a preorder, children
-in symbol order.  A node's incoming edge is described only by its first
+``array`` fields, not an object, the ids of a finished index are a
+preorder, children in symbol order, and an inner node's children are
+the next id and a range of one flat child table.  A node's incoming edge is described only by its first
 (discriminator) character and its length (``skip``); the full label is
 recovered from the indexed symbol sequence via ``leftmost_leaf_ref``.
 Navigation therefore compares only discriminator characters, and
@@ -27,7 +27,7 @@ from itertools import accumulate, chain, compress, islice
 from operator import itemgetter, ne
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from .textmodel import Pattern, Text, interleave
+from .textmodel import Pattern, Text, delimiter, interleave
 
 if TYPE_CHECKING:
     from .ancestry import AncestryIndex
@@ -53,8 +53,8 @@ class SuffixIndex:
       root) and ``fsym`` that of its first child's (:data:`NO_SYM` for a
       leaf), ``array("H")``s: the symbols, delimiters included, must fit
       16 bits, as in the container, and stay below ``NO_SYM``;
-    - in preorder an inner node's first child is the next id, so only
-      the later children need a table: node v's are
+    - the child table: in preorder an inner node's first child is the
+      next id, so the table lists only the later children: node v's are
       ``cid[cstart[v]:cstart[v + 1]]`` in symbol order, with their edge
       symbols at the same places of ``csym`` (``cstart`` has one entry
       more than there are nodes).
@@ -68,7 +68,7 @@ class SuffixIndex:
     nothing CPython's collector tracks per node.  The two symbol columns
     and ``cstart`` cost 8 B per node, a later child 6 B more.  A suffix
     tree of a random binary text of 16000 symbols holds about 46 B per
-    node in all, a suffix trie of 200 symbols about 30 (tracemalloc,
+    node in all, a suffix trie of 200 symbols about 38 (tracemalloc,
     CPython 3.11); with a child dict per node they held 183 and 287.
 
     While a builder adds nodes, ``child_maps`` holds one symbol -> child
@@ -84,6 +84,9 @@ class SuffixIndex:
 
     def __init__(self, text: Text, kind: str) -> None:
         assert kind in ("trie", "tree")
+        if text.k and delimiter(text.k) >= NO_SYM:
+            raise ValueError("%d delimiters: every symbol must stay below %d"
+                             % (text.k, NO_SYM))
         self.base_len = text.base_len
         self.kind = kind
         self.stride = text.k

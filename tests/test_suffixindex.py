@@ -15,7 +15,8 @@ from parsuffix import (ROOT, build_ancestry, build_container,
                        occurrences, verify_against_text)
 from parsuffix.interleaved import build_layer
 from parsuffix.serial import Container
-from parsuffix.textmodel import Pattern, interleave
+from parsuffix.suffixindex import NO_SYM, SuffixIndex
+from parsuffix.textmodel import DELIMITER_BASE, Pattern, interleave
 
 from conftest import (ABRA, distinct_substrings, find_exact, find_node,
                       naive_positions, random_text)
@@ -171,6 +172,14 @@ def test_sequential_equivalence_hypothesis(raw, pat):
     if covered and verify_against_text(tree, node, Pattern.from_bytes(pat)):
         got = tuple(occurrences(tree, node))
     assert got == naive_positions(raw, pat)
+
+
+def test_symbols_must_fit_the_table():
+    """Symbols are 16-bit with one value kept for a leaf's ``fsym``: a
+    text with that many delimiters is refused before anything is built."""
+    SuffixIndex(make_text(b"a", NO_SYM - DELIMITER_BASE - 1), "tree")
+    with pytest.raises(ValueError, match="delimiters"):
+        SuffixIndex(make_text(b"a", NO_SYM - DELIMITER_BASE), "tree")
 
 
 def test_navigate_rejects_empty_pattern(abra_tree):
