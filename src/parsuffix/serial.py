@@ -27,8 +27,8 @@ Node ids are a preorder with children in symbol order
 (:meth:`~parsuffix.suffixindex.SuffixIndex.finalize`), so every subtree
 is one contiguous id range and a node's first child is the next id.  The
 sym column is the index's own, written and read as it is.  The loader
-reads each column with one ``frombytes`` and derives the rest in linear
-passes over the columns, with no tree walk: cumulative skips top-down,
+reads each column with one ``frombytes`` and derives the rest in passes
+over the columns, with no tree walk: cumulative skips top-down,
 subtree sizes and leftmost leaf refs bottom-up, and the reporting range
 as a running count of the reported leaves.  The child table comes from
 the parent and sym columns as ``finalize`` derives it

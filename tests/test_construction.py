@@ -126,9 +126,10 @@ def test_reporting_range_matches_subtree_walk(raw):
 
 @pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
 def test_lookup_at_a_leaf_finds_nothing(raw):
-    """A leaf's range of the child table is empty, and the entry at its
-    start belongs to a later node: every lookup there must fail, for every
-    symbol of the data, in the method and in the inlined descents."""
+    """At a leaf the next id is not a child, and the leaf's empty range
+    of the child table starts at a later node's entries: every lookup
+    there must fail, for every symbol of the data, in the method and in
+    the inlined descents."""
     conts = [build_container(raw, "tree"), build_container(raw[:TRIE_N], "trie")]
     if raw:
         conts.append(Container("interleaved", raw, 4,

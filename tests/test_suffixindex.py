@@ -226,9 +226,9 @@ def _traced_bytes(make):
 
 
 def test_index_holds_no_per_node_maps():
-    """A finished index is a few arrays, about 45 B per node: a child map
-    per node would cost 64 B or more each (a built trie of 200 chars was
-    287 B per node with them, a loaded tree of 4000 chars 187)."""
+    """A finished index is a few arrays, 38 to 47 B per node here: a
+    child map per node would cost 64 B or more each (this trie held
+    287 B per node with them, this loaded tree 187)."""
     raw = random_text(random.Random(4), 200, 2)
     trie, held = _traced_bytes(lambda: build_suffix_trie(make_text(raw, 1)))
     assert len(trie) > 15000
