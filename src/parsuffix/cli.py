@@ -83,7 +83,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise CliError("%s needs a %s index" % (algo.name,
                                                 " or ".join(algo.kinds)))
     if algo.name == "tree-par2":
-        build_ancestry(cont.index)     # fails here on a non-suffix tree
+        build_ancestry(cont.index)     # once, before the first pattern
     mapper = thread_map if args.threads else seq_map
     for raw_pat in _read_patterns(args):
         led = StepLedger()
@@ -104,7 +104,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cont = load_file(args.index)
     algos = [a for a in ALGORITHMS.values() if cont.kind in a.kinds]
     if ALGORITHMS["tree-par2"] in algos:
-        build_ancestry(cont.index)     # fails here on a non-suffix tree
+        build_ancestry(cont.index)     # once, before the first pattern
     print("m\talgorithm\twork\tspan\tprobes")
     for raw_pat in _read_patterns(args):
         pat = Pattern.from_bytes(raw_pat)

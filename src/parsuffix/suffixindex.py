@@ -3,14 +3,16 @@
 Both index kinds share one struct-of-arrays node store
 (:class:`SuffixIndex`), after the enhanced suffix array's tables of
 Abouelhoda, Kurtz & Ohlebusch (2004): a node is an id into a few
-``array`` fields, not an object, the ids of a finished index are a
-preorder, children in symbol order, and an inner node's children are
-the next id and a range of one flat child table.  A node's incoming edge is described only by its first
-(discriminator) character and its length (``skip``); the full label is
-recovered from the indexed symbol sequence via ``leftmost_leaf_ref``.
-Navigation therefore compares only discriminator characters, and
-callers must verify skipped characters against the text before trusting
-a match (patricia semantics).
+``array`` fields, not an object, the ids are a preorder, children in
+symbol order, and an inner node's children are the next id and a range
+of one flat child table.  Every index is derived from its data's suffix
+array (:func:`fill_from_suffix_array`), by the builders and by the
+container loader alike.  A node's incoming edge is described only by its
+first (discriminator) character and its length (``skip``); the full
+label is recovered from the indexed symbol sequence via
+``leftmost_leaf_ref``.  Navigation therefore compares only discriminator
+characters, and callers must verify skipped characters against the text
+before trusting a match (patricia semantics).
 
 A text with k delimiters is indexed as its k interleaved subsequences
 (the interleaved layers; k = 1 is the plain text): they are concatenated
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate, chain, compress, islice
-from operator import itemgetter, ne
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import add, itemgetter, mul, ne, sub
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .textmodel import Pattern, Text, delimiter, interleave
@@ -41,39 +43,45 @@ NO_SYM = 0xFFFF                  # a leaf's fsym, a value no symbol takes
 class SuffixIndex:
     """The nodes of a suffix trie or tree over the text's interleaved
     subsequences, one entry per node in each per-field array, indexed by
-    node id (the root is node 0; :meth:`finalize` numbers the nodes in
-    preorder):
+    node id (the root is node 0, the ids are a preorder):
 
     - ``parent`` (``NO_PARENT`` for the root), ``skip`` (incoming edge
       length in symbols, 0 for the root), ``cum`` (cumulative skip, root
       to node), ``ref`` (a leaf's 1-based suffix start in ``data``, 0 for
-      none) and ``leftmost_leaf_ref`` (the 1-based data position of one
-      suffix below) are ``array("i")``s, 4 bytes per node each;
+      none) and ``leftmost_leaf_ref`` (the 1-based data position of the
+      first suffix below in suffix order) are ``array("i")``s, 4 bytes
+      per node each;
     - ``sym`` is the first symbol of the node's incoming edge (0 for the
       root) and ``fsym`` that of its first child's (:data:`NO_SYM` for a
       leaf), ``array("H")``s: the symbols, delimiters included, must fit
-      16 bits, as in the container, and stay below ``NO_SYM``;
+      16 bits and stay below ``NO_SYM``;
     - the child table: in preorder an inner node's first child is the
       next id, so the table lists only the later children: node v's are
       ``cid[cstart[v]:cstart[v + 1]]`` in symbol order, with their edge
       symbols at the same places of ``csym`` (``cstart`` has one entry
-      more than there are nodes).
+      more than there are nodes);
+    - the reporting range: ``leaf_pos`` lists the text positions of the
+      reported leaves (those whose suffix starts in the text, not in the
+      delimiter tail) in leaf order, and ``leaf_pos[leaf_lo[v]:
+      leaf_hi[v]]`` are the ones below node v;
+    - ``sa``, the data's suffix array: the 1-based start of each suffix
+      in suffix order, the leaves' refs in id order.  It is all the
+      container stores of an index.
 
     A lookup compares ``fsym`` (one read, the whole lookup on a unary
     chain) and only then searches the node's later children with
     ``csym.index``.  :meth:`child` does that and :meth:`children` lists
     them all; the query loops inline the lookup.
 
-    A finished index is a handful of arrays: no object per node, and
-    nothing CPython's collector tracks per node.  The two symbol columns
-    and ``cstart`` cost 8 B per node, a later child 6 B more.  A suffix
-    tree of a random binary text of 16000 symbols holds about 46 B per
-    node in all, a suffix trie of 200 symbols about 38 (tracemalloc,
-    CPython 3.11); with a child dict per node they held 183 and 287.
-
-    While a builder adds nodes, ``child_maps`` holds one symbol -> child
-    dict per node (None for a leaf the builder will not extend);
-    :meth:`finalize` derives the table from them and drops them.
+    An index is a handful of arrays: no object per node, and nothing
+    CPython's collector tracks per node.  There is no build phase: a
+    fresh index has no nodes until :func:`fill_from_suffix_array` derives
+    every column at once, and nothing changes them afterwards.  The two
+    symbol columns and ``cstart`` cost 8 B per node, a later child 6 B
+    more.  A suffix tree of a random binary text of 16000 symbols holds
+    about 46 B per node in all, a suffix trie of 200 symbols about 38
+    (tracemalloc, CPython 3.11); with a child dict per node they held 183
+    and 287.
 
     ``stride`` is the text's delimiter count k and ``base_len`` its length
     without them.  ``data`` is the concatenation of the text's k
@@ -94,24 +102,23 @@ class SuffixIndex:
         self.data = tuple(chain.from_iterable(seqs))
         self.seq_starts = tuple(accumulate((len(seq) for seq in seqs[:-1]),
                                            initial=1))
-        self.parent = array("i", [NO_PARENT])
-        self.skip = array("i", [0])
-        self.cum = array("i", [0])
-        self.ref = array("i", [0])
-        self.leftmost_leaf_ref = array("i", [0])
-        self.child_maps: Optional[list[Optional[dict[int, NodeId]]]] = [{}]
-        # the child table, built by finalize() or the container loader
+        # every column is set by fill_from_suffix_array
+        self.parent = array("i")
+        self.skip = array("i")
+        self.cum = array("i")
+        self.ref = array("i")
+        self.leftmost_leaf_ref = array("i")
         self.sym = array("H")
         self.fsym = array("H")
         self.cstart = array("i")
         self.cid = array("i")
         self.csym = array("H")
-        # suffix links, built once by ancestry.build_ancestry
-        self.ancestry: Optional[AncestryIndex] = None
-        # the reporting range, built by finalize() or the container loader
         self.leaf_pos = array("i")
         self.leaf_lo = array("i")
         self.leaf_hi = array("i")
+        self.sa = array("i")
+        # suffix links, built once by ancestry.build_ancestry
+        self.ancestry: Optional[AncestryIndex] = None
 
     # -- raw access ---------------------------------------------------
 
@@ -121,19 +128,6 @@ class SuffixIndex:
 
     def __len__(self) -> int:
         return len(self.cum)
-
-    def new_node(self, parent: NodeId, skip: int, lref: int,
-                 ref: int = 0) -> NodeId:
-        """Append a node below ``parent``.  A node made with a suffix
-        ``ref`` is a leaf of a suffix tree and gets no child map."""
-        nid = len(self.cum)
-        self.parent.append(parent)
-        self.skip.append(skip)
-        self.cum.append(self.cum[parent] + skip)
-        self.ref.append(ref)
-        self.leftmost_leaf_ref.append(lref)
-        self.child_maps.append(None if ref else {})
-        return nid
 
     def child(self, nid: NodeId, sym: int) -> Optional[NodeId]:
         """The child of a finished index's node ``nid`` whose edge starts
@@ -190,75 +184,6 @@ class SuffixIndex:
         table[0] = self.base_len + 1
         return table
 
-    def finalize(self) -> None:
-        """Renumber the nodes in preorder, children in symbol order, and
-        build what the walk gives: each node's edge symbol, the child
-        table, leftmost leaf refs and the reporting range.
-
-        In preorder a parent's id is below its children's, each subtree
-        is one contiguous id range, and a node's first child is the next
-        id.  ``leaf_pos`` lists the text positions of the reported leaves
-        (those with a suffix ref that starts in the text, not in the
-        delimiter tail) in leaf order; ``leaf_pos[leaf_lo[v]:leaf_hi[v]]``
-        are the ones below node ``v``.  The child maps are dropped, so
-        the index is not built further after this."""
-        maps = self.child_maps
-        ref = self.ref
-        n = len(maps)
-        tpos = self.text_positions()
-        base_len = self.base_len
-        order = [ROOT]                 # old id of each new id
-        parent = [NO_PARENT]           # by new id
-        sym = array("H", [0])          # by new id
-        lo = array("i", bytes(4 * n))
-        hi = array("i", lo)
-        lref = array("i", lo)
-        pos = array("i")
-        pending = [ROOT]              # visited, leftmost leaf not yet seen
-        # The node being expanded: its new id, its child map and its
-        # symbols still to visit; the frames hold the same for its
-        # ancestors.
-        top, kids = ROOT, maps[ROOT]
-        syms = iter(sorted(kids))
-        frames = []
-        while True:
-            for c in syms:
-                old = kids[c]
-                nid = len(order)
-                order.append(old)
-                parent.append(top)
-                sym.append(c)
-                lo[nid] = len(pos)
-                grand = maps[old]
-                maps[old] = None          # the old map is freed once walked
-                if grand:
-                    frames.append((top, kids, syms))
-                    top, kids = nid, grand
-                    syms = iter(sorted(grand) if len(grand) > 1 else grand)
-                    pending.append(nid)
-                    break
-                r = lref[nid] = ref[old]
-                if tpos[r] <= base_len:
-                    pos.append(tpos[r])
-                hi[nid] = len(pos)
-                for up in pending:
-                    lref[up] = r
-                pending.clear()
-            else:
-                hi[top] = len(pos)
-                if not frames:
-                    break
-                top, kids, syms = frames.pop()
-        self.parent = array("i", parent)
-        self.skip, self.cum, self.ref = (array("i", gather(field, order))
-                                         for field in (self.skip, self.cum, ref))
-        self.child_maps = None
-        self.sym = sym
-        self.fsym, self.cstart, self.cid, self.csym = child_table(self.parent,
-                                                                  sym)
-        self.leftmost_leaf_ref = lref
-        self.leaf_pos, self.leaf_lo, self.leaf_hi = pos, lo, hi
-
 
 def child_table(parent: array, sym: array
                 ) -> tuple[array, array, array, array]:
@@ -294,131 +219,199 @@ def gather(values: Sequence[int] | Mapping[int, int],
 
 # -- construction ------------------------------------------------------
 
-
-def _suffix_ranges(index: SuffixIndex) -> list[tuple[int, int]]:
-    starts = list(index.seq_starts) + [len(index.data) + 1]
-    return [(starts[i], starts[i + 1] - 1) for i in range(len(starts) - 1)]
+def build_suffix_tree(text: Text) -> SuffixIndex:
+    """Suffix tree over all suffixes of the text's k interleaved
+    subsequences (the plain suffix tree for k = 1): the LCP-interval tree
+    of its data's suffix array (:func:`fill_from_suffix_array`)."""
+    return _build(text, "tree")
 
 
 def build_suffix_trie(text: Text) -> SuffixIndex:
-    """Suffix trie by direct suffix insertion: one node per distinct
-    nonempty substring, all skip values 1."""
+    """Suffix trie: one node per distinct nonempty substring, all skip
+    values 1; the suffix tree with each edge expanded into one-symbol
+    edges."""
+    return _build(text, "trie")
+
+
+def _build(text: Text, kind: str) -> SuffixIndex:
     if len(text) < 1:
         raise ValueError("text must be nonempty")
-    idx = SuffixIndex(text, "trie")
-    children = idx.child_maps
-    data = idx.data
-    for lo, hi in _suffix_ranges(idx):
-        for s in range(lo, hi + 1):
-            cur = ROOT
-            for pos in range(s, hi + 1):
-                c = data[pos - 1]
-                nxt = children[cur].get(c)
-                if nxt is None:
-                    nxt = children[cur][c] = idx.new_node(cur, 1, s)
-                cur = nxt
-            if not idx.ref[cur]:
-                idx.ref[cur] = s
-    idx.finalize()
-    return idx
+    index = SuffixIndex(text, kind)
+    fill_from_suffix_array(index, suffix_array(index.data))
+    return index
 
 
-def build_suffix_tree(text: Text) -> SuffixIndex:
-    """Suffix tree over all suffixes of the text's k interleaved
-    subsequences (the plain suffix tree for k = 1), by McCreight's
-    algorithm (:func:`_insert_all_suffixes`); O(n) node visits plus O(n)
-    character comparisons."""
-    if len(text) < 1:
-        raise ValueError("text must be nonempty")
-    idx = SuffixIndex(text, "tree")
-    _insert_all_suffixes(idx)
-    idx.finalize()
-    return idx
+def suffix_array(data: Sequence[int]) -> array:
+    """The suffix array of ``data``: the 1-based start of each suffix, in
+    suffix order.  By prefix doubling: each round sorts the suffixes by
+    the ranks of their first h symbols and of the next h with
+    ``list.sort``, O(n log² n) in the worst case.
+
+    ``data`` ends with a unique delimiter, and so does each subsequence in
+    it, so its suffixes sort as the subsequences' suffixes do."""
+    n = len(data)
+    # the symbols, delimiters (up to 256 + k) included, ranked from 1; a
+    # key's second rank is 0 past the end of the data
+    symbols = sorted(set(data))
+    rank = list(map(dict(zip(symbols, range(1, n + 1))).__getitem__, data))
+    order = sorted(range(n), key=rank.__getitem__)
+    top, h, width = len(symbols), 1, n + 1
+    while top < n:
+        keys = list(map(add, map(mul, rank, repeat(width)),
+                        chain(islice(rank, h, None), repeat(0, min(h, n)))))
+        order.sort(key=keys.__getitem__)
+        ordered = gather(keys, order)
+        ranks = list(accumulate(map(ne, islice(ordered, 1, None), ordered),
+                                initial=1))
+        top = ranks[-1]
+        any(map(rank.__setitem__, order, ranks))
+        h *= 2
+    return array("i", map(add, order, repeat(1)))
 
 
-def _insert_all_suffixes(idx: SuffixIndex) -> None:
-    """McCreight's algorithm (McCreight 1976).
+def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
+    """Derive every column of a fresh index from its data's suffix array
+    ``sa`` (1-based suffix starts in suffix order, kept as ``index.sa``),
+    which must be correct: the builders compute it, the container loader
+    checks it.
 
-    Suffixes are inserted longest first, one sequence after another.  The
-    head of a suffix is the node its leaf hangs from.  The head of suffix
-    s+1 is found from the head h of suffix s: if h existed before step s,
-    it has a suffix link and the scan resumes there; otherwise the walk
-    follows the suffix link of h's parent, rescans the rest of h's string
-    minus its first character by skip/count (one comparison per node, the
-    string is known to be present), and then scans character by
-    character.  Every step creates the same nodes in the same order as
-    inserting each suffix from the root would, so the finished tree does
-    not depend on the method.  Suffix links are kept only while building.
-    """
-    parent = idx.parent
-    cum = idx.cum
-    children = idx.child_maps
-    data = idx.data                      # 0-based: data[p - 1] is at(p)
-    link: dict[NodeId, NodeId] = {ROOT: ROOT}
-    for lo, hi in _suffix_ranges(idx):
-        head = ROOT                      # the last suffix is one delimiter
-        for s in range(lo, hi + 1):
-            if head in link:
-                cur = link[head]
-            else:
-                # head was created in the previous step: rescan its string
-                # minus the first character below its parent's link
-                want = cum[head] - 1
-                cur = link[parent[head]]
-                while cum[cur] < want:
-                    child = children[cur][data[s - 1 + cum[cur]]]
-                    if cum[child] > want:
-                        cur = _split(idx, cur, child, want)
-                        break
-                    cur = child
-                link[head] = cur
-            head = _scan(idx, cur, s, hi)
+    The suffix tree is the LCP-interval tree of the suffix array
+    (Abouelhoda, Kurtz & Ohlebusch 2004).  One pass in text order gives
+    the longest common prefix of each suffix and the one before it in
+    ``sa`` (Kärkkäinen, Manzini & Puglisi's variant of Kasai et al.'s
+    pass).  One stack pass over ``sa``, right to left, opens and closes
+    the inner nodes as intervals of ``sa``: leaf i is suffix ``sa[i]``,
+    at the depth of its own subsequence's delimiter, and the parent of a
+    leaf or of a closing interval is the top of the stack or the interval
+    the pass opens next.  Nodes are listed as they close, leaves at once,
+    which is a postorder that takes children in reverse symbol order:
+    read backwards, it is the preorder with children in symbol order, and
+    that is the id order.
+
+    A trie is the tree with each edge of skip s expanded into a chain of
+    s nodes with consecutive ids, so its ids stay a preorder.  The k
+    suffixes that are one delimiter each are the root's last children,
+    leaves that sort last: the reported leaves are ``sa[:base_len]``, and
+    a node's reporting range is its interval cut there."""
+    data = index.data
+    n = len(data)
+    at = (0,) + data + (-1,)            # at[p]: the symbol at position p
+    # prev[p]: the suffix before p in sa; n + 1, past the data, for the
+    # first, which shares nothing with it
+    prev = [0] * (n + 2)
+    any(map(prev.__setitem__, sa, chain((n + 1,), sa)))
+    plcp = [0] * (n + 1)
+    h = 0
+    for p, q in enumerate(islice(prev, 1, n + 1), 1):
+        while at[p + h] == at[q + h]:
+            h += 1
+        plcp[p] = h
+        if h:
+            h -= 1
+    lcp = gather(plcp, sa)              # lcp[i]: of sa[i - 1] and sa[i]
+    seq_ends = index.seq_starts[1:] + (n + 1,)
+    lengths = gather((0,) + tuple(chain.from_iterable(
+        map(range, map(sub, seq_ends, index.seq_starts), repeat(0),
+            repeat(-1)))), sa)
+    # the nodes as they close: depth, left bound, one past the right
+    # bound, ref, and the parent's place in the open intervals' lists
+    cums, lbs, ends, refs, ups = [], [], [], [], []
+    # the intervals in the order they open, the root first: depth, one
+    # past the right bound, and where each closed in the lists above
+    depths, opens, closed = [0], [n], [0]
+    stack = [ROOT]
+    top = depth = 0
+    for i, d, r, length in zip(range(n - 1, -1, -1), reversed(lcp),
+                               reversed(sa), reversed(lengths)):
+        cums.append(length)
+        lbs.append(i)
+        ends.append(i + 1)
+        refs.append(r)
+        if d > depth:                   # open the interval around i - 1, i
+            top = len(depths)
+            stack.append(top)
+            depths.append(d)
+            opens.append(i + 1)
+            closed.append(0)
+            depth = d
+        ups.append(top)
+        while d < depth:                # close the intervals starting at i
+            end = opens[top]
+            closed[top] = len(cums)
+            cums.append(depth)
+            lbs.append(i)
+            ends.append(end)
+            refs.append(0)
+            stack.pop()
+            top = stack[-1]
+            depth = depths[top]
+            if d > depth:               # open their parent
+                top = len(depths)
+                stack.append(top)
+                depths.append(d)
+                opens.append(end)
+                closed.append(0)
+                depth = d
+            ups.append(top)
+    closed[ROOT] = len(cums)
+    cums.append(0)
+    lbs.append(0)
+    ends.append(n)
+    refs.append(0)
+    ups.append(ROOT)
+    for col in (cums, lbs, ends, refs, ups):
+        col.reverse()
+    total = len(cums)
+    parent = array("i", map(sub, repeat(total - 1), gather(closed, ups)))
+    parent[ROOT] = NO_PARENT
+    cum, ref = array("i", cums), array("i", refs)
+    lo, hi = array("i", lbs), array("i", ends)
+    lref = array("i", gather(sa, lbs))
+    cut = index.base_len
+    k = index.stride
+    lo[total - k:] = hi[total - k:] = array("i", [cut]) * k
+    hi[ROOT] = cut
+    up = gather(depths, ups)            # each node's parent's depth
+    skip = array("i", map(sub, cum, up))
+    if index.kind == "trie":
+        parent, cum, ref, lref, lo, hi = _expand_edges(parent, skip, cum, ref,
+                                                       lref, lo, hi)
+        skip = array("i", [1]) * len(cum)
+        skip[ROOT] = 0
+        up = map(sub, cum, skip)
+    sym = array("H", gather(at, list(map(add, lref, up))))
+    sym[ROOT] = 0
+    index.parent, index.skip, index.cum, index.ref = parent, skip, cum, ref
+    index.leftmost_leaf_ref, index.sym = lref, sym
+    index.fsym, index.cstart, index.cid, index.csym = child_table(parent, sym)
+    index.leaf_pos = array("i", gather(index.text_positions(), sa[:cut]))
+    index.leaf_lo, index.leaf_hi = lo, hi
+    index.sa = sa
 
 
-def _split(idx: SuffixIndex, cur: NodeId, child: NodeId, depth: int) -> NodeId:
-    """Insert a node at string depth ``depth`` on the edge cur -> child."""
-    cum = idx.cum
-    lref = idx.leftmost_leaf_ref[child]
-    mid = idx.new_node(cur, depth - cum[cur], lref)
-    maps = idx.child_maps
-    maps[cur][idx.data[lref - 1 + cum[cur]]] = mid
-    idx.parent[child] = mid
-    idx.skip[child] = cum[child] - depth
-    maps[mid][idx.data[lref - 1 + depth]] = child
-    return mid
-
-
-def _scan(idx: SuffixIndex, cur: NodeId, s: int, e: int) -> NodeId:
-    """Insert suffix data[s .. e], whose first ``cum(cur)`` symbols spell
-    ``cur``, comparing symbols from there on; returns the suffix's head."""
-    cum = idx.cum
-    children = idx.child_maps
-    data = idx.data
-    pos = s + cum[cur]
-    while True:
-        child = children[cur].get(data[pos - 1])
-        if child is None:
-            break
-        lref = idx.leftmost_leaf_ref[child]
-        end = cum[child]
-        j = cum[cur] + 1
-        while j <= end and pos <= e and data[lref + j - 2] == data[pos - 1]:
-            j += 1
-            pos += 1
-        if j > end:
-            if pos > e:
-                # suffix ends exactly at an existing node; impossible with
-                # unique terminating delimiters
-                raise AssertionError("duplicate suffix during construction")
-            cur = child
-            continue
-        if pos > e:
-            raise AssertionError("suffix is a proper edge prefix; "
-                                 "text lacks a unique terminator")
-        cur = _split(idx, cur, child, j - 1)
-        break
-    children[cur][data[pos - 1]] = idx.new_node(cur, e - pos + 1, s, s)
-    return cur
+def _expand_edges(parent: array, skip: array, cum: array, ref: array,
+                  *shared: array) -> tuple[array, ...]:
+    """A suffix trie's parent, cum and ref columns and its ``shared``
+    ones from its suffix tree's: tree node v becomes a chain of skip(v)
+    nodes (one for the root) with consecutive ids, so a preorder stays
+    one.  The chain's last node is v and keeps v's ref; every node of the
+    chain has v's values of the ``shared`` columns."""
+    size = array("i", skip)
+    size[ROOT] = 1
+    start = list(accumulate(size, initial=0))
+    total = start[-1]
+    last = list(map(sub, islice(start, 1, None), repeat(1)))
+    tparent = array("i", range(-1, total - 1))
+    any(map(tparent.__setitem__, islice(start, 1, len(size)),
+            gather(last, parent[1:])))
+    tops = list(map(add, cum, repeat(1)))
+    tcum = array("i", chain.from_iterable(map(range, map(sub, tops, size),
+                                              tops)))
+    tref = array("i", bytes(4 * total))
+    any(map(tref.__setitem__, last, ref))
+    return (tparent, tcum, tref,
+            *(array("i", chain.from_iterable(map(repeat, col, size)))
+              for col in shared))
 
 
 # -- queries -----------------------------------------------------------
@@ -484,7 +477,7 @@ def navigate(index: SuffixIndex, seq: Sequence[int]
 def occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
     """Sorted 1-based text positions of all suffixes below ``nid``,
     excluding suffixes that begin inside the delimiter tail: a slice of
-    the leaf-order range :meth:`SuffixIndex.finalize` builds."""
+    the index's leaf-order reporting range."""
     return sorted(index.leaf_pos[index.leaf_lo[nid]:index.leaf_hi[nid]])
 
 

@@ -1,12 +1,15 @@
-"""Reference builders that insert every suffix and walk every dictionary
-part from the root, occurrence reporting by a walk over the subtree, and
-tree-par2's probe sweep step by step over every ancestor of lane 2's node.
-Quadratic on repetitive texts; the library's McCreight builder,
-suffix-link based dictionaries, leaf-order reporting range and windowed
-probe sweep must match them exactly (node ids and hits included)."""
+"""Reference builders that insert every suffix from the root into a
+tree of child dicts and number it by a recursive preorder walk, every
+dictionary part walked from the root, occurrence reporting by a walk over
+the subtree, and tree-par2's probe sweep step by step over every ancestor
+of lane 2's node.  Quadratic on repetitive texts; the library's suffix
+array builders, suffix-link based dictionaries, leaf-order reporting
+range and windowed probe sweep must match them exactly (node ids and hits
+included)."""
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional, Sequence
 
 from parsuffix.ancestry import AncestryIndex, level_ancestor_sl
@@ -15,15 +18,114 @@ from parsuffix.interleaved import LayerIndex, LayeredIndex
 from parsuffix.ledger import StepLedger
 from parsuffix.query import EMPTY, QueryResult
 from parsuffix.suffixindex import (NO_PARENT, ROOT, NodeId, SuffixIndex,
-                                   descend, occurrences, verify_against_text)
+                                   child_table, descend, occurrences,
+                                   verify_against_text)
 from parsuffix.textmodel import Pattern, Text, make_text
 
 
+class _Node:
+    """A node of the reference builders' tree: its string depth, a suffix
+    below it (to read edge labels from), a leaf's suffix, its children."""
+
+    def __init__(self, depth: int, lref: int, ref: int = 0) -> None:
+        self.depth, self.lref, self.ref = depth, lref, ref
+        self.kids: dict[int, _Node] = {}
+
+
+def _suffix_ranges(idx: SuffixIndex) -> list[tuple[int, int]]:
+    """Each subsequence's first and last 1-based data position."""
+    ends = idx.seq_starts[1:] + (len(idx.data) + 1,)
+    return [(lo, end - 1) for lo, end in zip(idx.seq_starts, ends)]
+
+
 def naive_suffix_tree(text: Text) -> SuffixIndex:
+    """Every suffix inserted from the root, splitting an edge where it
+    leaves it."""
     idx = SuffixIndex(text, "tree")
-    _insert_all(idx)
-    idx.finalize()
+    root = _Node(0, 0)
+    for lo, hi in _suffix_ranges(idx):
+        for s in range(lo, hi + 1):
+            _insert_suffix(root, idx.at, s, hi)
+    _number(idx, root)
     return idx
+
+
+def _insert_suffix(root: _Node, at, s: int, e: int) -> None:
+    cur = root
+    while True:
+        j = cur.depth                    # symbols of data[s .. e] matched
+        child = cur.kids.get(at(s + j))
+        if child is None:
+            cur.kids[at(s + j)] = _Node(e - s + 1, s, s)
+            return
+        while j < child.depth and at(child.lref + j) == at(s + j):
+            j += 1
+        assert s + j <= e, "a suffix is a prefix of another"
+        if j == child.depth:
+            cur = child
+            continue
+        mid = _Node(j, child.lref)
+        cur.kids[at(s + cur.depth)] = mid
+        mid.kids[at(child.lref + j)] = child
+        mid.kids[at(s + j)] = _Node(e - s + 1, s, s)
+        return
+
+
+def naive_suffix_trie(text: Text) -> SuffixIndex:
+    """Every suffix inserted from the root one symbol at a time."""
+    idx = SuffixIndex(text, "trie")
+    root = _Node(0, 0)
+    for lo, hi in _suffix_ranges(idx):
+        for s in range(lo, hi + 1):
+            cur = root
+            for pos in range(s, hi + 1):
+                nxt = cur.kids.get(idx.at(pos))
+                if nxt is None:
+                    nxt = cur.kids[idx.at(pos)] = _Node(cur.depth + 1, s)
+                cur = nxt
+            cur.ref = s
+    _number(idx, root)
+    return idx
+
+
+def _number(idx: SuffixIndex, root: _Node) -> None:
+    """Fill the index's columns by a recursive preorder walk of ``root``'s
+    tree, children in symbol order."""
+    tpos = idx.text_positions()
+    parent, skip, cum, ref, lref, sym = [], [], [], [], [], []
+    lo, hi, pos = [], [], []
+
+    def visit(node: _Node, par: NodeId, edge: int) -> int:
+        """Number ``node``'s subtree; returns its leftmost leaf's ref."""
+        nid = len(parent)
+        parent.append(par)
+        skip.append(node.depth - (cum[par] if par != NO_PARENT else 0))
+        cum.append(node.depth)
+        ref.append(node.ref)
+        sym.append(edge)
+        lref.append(node.ref)
+        lo.append(len(pos))
+        hi.append(0)
+        if not node.kids and tpos[node.ref] <= idx.base_len:
+            pos.append(tpos[node.ref])
+        for i, c in enumerate(sorted(node.kids)):
+            first = visit(node.kids[c], nid, c)
+            if i == 0:
+                lref[nid] = first
+        hi[nid] = len(pos)
+        return lref[nid]
+
+    visit(root, NO_PARENT, 0)
+    idx.parent, idx.skip, idx.cum, idx.ref = (array("i", col) for col in
+                                              (parent, skip, cum, ref))
+    idx.leftmost_leaf_ref = array("i", lref)
+    idx.sym = array("H", sym)
+    idx.fsym, idx.cstart, idx.cid, idx.csym = child_table(idx.parent, idx.sym)
+    idx.leaf_pos, idx.leaf_lo, idx.leaf_hi = (array("i", col) for col in
+                                              (pos, lo, hi))
+    # the leaves in preorder are the suffixes in suffix order
+    idx.sa = array("i", [r for nid, r in enumerate(ref)
+                         if not idx.children(nid)])
 
 
 def naive_layer(raw: bytes, k: int) -> LayerIndex:
@@ -39,46 +141,6 @@ def naive_layered_index(raw: bytes, p: int) -> LayeredIndex:
             idx.dicts[k] = naive_layer_dict(idx.layers[k], idx.layers[k // 2])
         k *= 2
     return idx
-
-
-def _insert_all(idx: SuffixIndex) -> None:
-    starts = list(idx.seq_starts) + [len(idx.data) + 1]
-    for i in range(len(starts) - 1):
-        hi = starts[i + 1] - 1
-        for s in range(starts[i], hi + 1):
-            _insert_suffix(idx, s, hi)
-
-
-def _insert_suffix(idx: SuffixIndex, s: int, e: int) -> None:
-    cur = ROOT
-    pos = s
-    while True:
-        child = idx.child_maps[cur].get(idx.at(pos))
-        if child is None:
-            leaf = idx.new_node(cur, e - pos + 1, s)
-            idx.ref[leaf] = s
-            idx.child_maps[cur][idx.at(pos)] = leaf
-            return
-        lref = idx.leftmost_leaf_ref[child]
-        j = idx.cum[cur] + 1
-        while j <= idx.cum[child] and pos <= e and \
-                idx.at(lref + j - 1) == idx.at(pos):
-            j += 1
-            pos += 1
-        if j > idx.cum[child]:
-            assert pos <= e, "duplicate suffix during construction"
-            cur = child
-            continue
-        assert pos <= e, "suffix is a proper edge prefix"
-        mid = idx.new_node(cur, (j - 1) - idx.cum[cur], lref)
-        idx.child_maps[cur][idx.at(lref + idx.cum[cur])] = mid
-        idx.parent[child] = mid
-        idx.skip[child] = idx.cum[child] - (j - 1)
-        idx.child_maps[mid][idx.at(lref + j - 1)] = child
-        leaf = idx.new_node(mid, e - pos + 1, s)
-        idx.ref[leaf] = s
-        idx.child_maps[mid][idx.at(pos)] = leaf
-        return
 
 
 # -- root walks ----------------------------------------------------------

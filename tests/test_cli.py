@@ -29,10 +29,10 @@ def test_build_reports_node_count(tmp_path, abra_file, capsys):
 
 
 @pytest.mark.parametrize("kind,p,line", [
-    ("tree", 1, "index=tree nodes=17 dict_entries=16 bytes=503"),
-    ("trie", 1, "index=trie nodes=67 dict_entries=66 bytes=1803"),
+    ("tree", 1, "index=tree nodes=17 dict_entries=16 bytes=309"),
+    ("trie", 1, "index=trie nodes=67 dict_entries=66 bytes=909"),
     ("interleaved", 4, "index=interleaved nodes=55 dict_entries=34 "
-                       "bytes=1271"),
+                       "bytes=649"),
 ])
 def test_build_summary_line(tmp_path, abra_file, capsys, kind, p, line):
     """Nodes and dictionary entries summed over every block: the
@@ -229,25 +229,28 @@ def test_no_patterns_is_an_error(tmp_path, abra_file, capsys):
 
 
 def test_query_rejects_tree_without_suffix_links(tmp_path, capsys):
-    """A structurally valid container whose tree is not a suffix tree: the
-    root's child for 'b' is relabelled 'c', so "ab" has no link target."""
+    """A container whose tree is not a suffix tree.  The container holds
+    the suffix array, from which only the suffix tree derives, so the
+    nearest such file swaps two suffixes of abab$ (leaves 1 and 2): the
+    loader rejects it before any suffix link is built."""
     from parsuffix.serial import build_container, dump_container
     blob = bytearray(dump_container(build_container(b"abab", "tree")))
-    # the sym column's entry for node 4, the root's child for 'b': after
-    # the header, the text, the block head and three columns of 8 nodes
-    sym_b = 4 + 6 + 32 + 8 + 4 + 8 + 3 * 4 * 8 + 2 * 4
-    assert blob[sym_b] == ord("b")
-    blob[sym_b] = ord("c")
+    # the suffix array, after the header, the text and the block's stride
+    sa = 4 + 6 + 32 + 8 + 4 + 4
+    assert blob[sa:sa + 8] == bytes([1, 0, 0, 0, 3, 0, 0, 0])
+    blob[sa], blob[sa + 4] = 3, 1
     path = tmp_path / "bad.idx"
     path.write_bytes(bytes(blob))
     rc = main(["query", "--index", str(path), "--pattern", "ab",
                "--algo", "tree-par2"])
     assert rc == 2
-    assert "edge symbol 99 disagrees with the text" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not in suffix order" in err
 
 
 def test_query_rejects_tree_node_with_one_child(tmp_path, capsys):
+    """The tree's one-child node does not survive the suffix array
+    container; the dictionary entry that maps it makes the file fail."""
     from parsuffix.serial import dump_container
     from test_serial import one_child_tree_container
     path = tmp_path / "bad.idx"
@@ -256,4 +259,4 @@ def test_query_rejects_tree_node_with_one_child(tmp_path, capsys):
                "--algo", "seq"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "one child" in err
+    assert err.startswith("error:") and "dictionary has 17 entries" in err

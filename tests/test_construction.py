@@ -1,6 +1,8 @@
-"""The McCreight builder and the suffix-link based dictionaries against the
-root-walk oracle in ``naive_oracle``: same nodes, same ids, same bytes."""
+"""The suffix array builders and the suffix-link based dictionaries
+against the root-walk oracle in ``naive_oracle``: same nodes, same ids,
+same bytes."""
 
+import itertools
 import random
 import time
 
@@ -17,7 +19,7 @@ from parsuffix.suffixindex import ROOT, descend, navigate
 from conftest import fibonacci_text, periodic_text, random_text
 from naive_oracle import (naive_layered_index, naive_occurrences,
                           naive_suffix_links, naive_suffix_tree,
-                          naive_trie_dict, naive_tree_dict)
+                          naive_suffix_trie, naive_trie_dict, naive_tree_dict)
 
 N = 300
 TRIE_N = 100          # the trie oracle is cubic in the text length
@@ -60,6 +62,36 @@ def test_tree_matches_oracle(raw):
     assert build_tree_halving_dict(tree).entries == want_dict.entries
     assert dump_container(build_container(raw, "tree")) == \
         dump_container(Container("tree", raw, 1, oracle, want_dict))
+
+
+# every binary text with 0 to 8 symbols: 511 texts
+SHORT_BINARY = [bytes(t) for n in range(9)
+                for t in itertools.product(b"ab", repeat=n)]
+COLUMNS = ("parent", "skip", "cum", "ref", "leftmost_leaf_ref", "sym", "fsym",
+           "cstart", "cid", "csym", "leaf_pos", "leaf_lo", "leaf_hi", "sa")
+
+
+def assert_same_index(got, want):
+    for column in COLUMNS:
+        assert getattr(got, column) == getattr(want, column), column
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_builders_match_oracle_on_every_short_binary_text(k):
+    """Every column of both builders, against the oracle's own insertion
+    and preorder walk.  The empty text (the root's interval is one
+    place), leaves that end at their own subsequence's delimiter, and
+    delimiter symbols (256 + k) far above the data's length all occur."""
+    for raw in SHORT_BINARY:
+        text = make_text(raw, k)
+        assert_same_index(build_suffix_tree(text), naive_suffix_tree(text))
+        assert_same_index(build_suffix_trie(text), naive_suffix_trie(text))
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
+def test_trie_matches_oracle(raw):
+    text = make_text(raw[:TRIE_N], 1)
+    assert_same_index(build_suffix_trie(text), naive_suffix_trie(text))
 
 
 @pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)

@@ -1,6 +1,7 @@
 """Binary container round-trips."""
 
 import hashlib
+import itertools
 import random
 import struct
 import time
@@ -11,7 +12,7 @@ from parsuffix import (ALGORITHMS, Container, ContainerError, StepLedger,
                        build_ancestry, build_container, dump_container,
                        load_container, load_file, oracle_scan,
                        par_query_interleaved, par_query_tree2,
-                       par_query_trie, save_file, seq_query)
+                       par_query_trie, save_file, seq_query, serial)
 from parsuffix.ancestry import AncestryError
 from parsuffix.lanes import seq_map
 from parsuffix.suffixindex import NO_PARENT
@@ -138,21 +139,22 @@ def test_every_truncation_rejected(kind, p):
     assert time.perf_counter() - t0 < 30.0
 
 
-# SHA-256 of dump_container, pinned when container v2 (columns, node ids
-# in preorder, a digest over the raw text and the dictionaries) came in.
+# SHA-256 of dump_container, pinned when container v3 (each index block
+# its suffix array, a digest over the raw text and the dictionaries) came
+# in.
 GOLDEN_SHA256 = {
     ("abra", "tree"):
-        "294836c3d626ffd59e9167a538882ebd4185d9d8587c496c12cafc33e9a07a8a",
+        "7adf8f7d849fbfc52b96c38627cede2c447958baab15d33a2e868e51ab30a745",
     ("abra", "trie"):
-        "89b0fe08ff426d0a0695565382eb587d63b82179eebc626a5c40907efcfa1a74",
+        "18f9575da66216379f6ee8aa964754fc236309ffa257dd4749df8fa17a148eea",
     ("abra", "interleaved"):
-        "de785fb222defb8b82cca01e0e696a8e4347151ec2b3a7bbdc50dfcdefa48891",
+        "6918485f6fc936856a7bb2ed10b6aacf2308b58ced70aacf912b8280c0545aaf",
     ("fibonacci-300", "tree"):
-        "62b04b079d02919b08897530c91833f66fa65e1a3075416ca63094325eef2a6d",
+        "4a681757bd56a8a8f593e4579e78a70be10172481ae3c45e4c889ab23f0b3470",
     ("fibonacci-300", "trie"):
-        "fe861dc266f7fb9393ff3c5bdcac6a3b5af76cd3a5e6940de5bdb16f19c935fb",
+        "a9eb4a44a0b329d088d27e8ed74db85e4abc9a96282bd5b74c14dfc252df22ab",
     ("fibonacci-300", "interleaved"):
-        "a52ded10aa9a3dad4339ed1bca2ee8592125537ddb0d36a55d704a9c84b5e7e6",
+        "e0a20b1dde66884450c427d4eec13ab1a3c303c0249adb9fa80132748abef441",
 }
 
 
@@ -170,7 +172,7 @@ def test_unknown_kind_and_version():
     blob[4] = 99                                   # version byte
     with pytest.raises(ContainerError):
         load_container(bytes(blob))
-    blob[4] = 2
+    blob[4] = serial.VERSION
     blob[5] = 7                                    # kind byte
     with pytest.raises(ContainerError):
         load_container(bytes(blob))
@@ -197,14 +199,11 @@ def test_container_kind_validation():
 
 
 # Offsets into build_container(b"abab", "tree"): the header (4 + 6 + 32
-# + 8), the raw text (4), the index block's stride and count (8), then
-# its parent, skip and ref columns (4 B per node each) and its sym column
-# (2 B per node).  Its 8 nodes in preorder: 0 the root, 1 "ab" with the
-# leaves 2 (abab$) and 3 (ab$), 4 "b" with the leaves 5 (bab$) and 6
-# (b$), and 7 the leaf $.
-ABAB_COLUMNS = 4 + 6 + 32 + 8 + 4 + 8
-ABAB_NODES = 8
-COLUMN_FMT = {"parent": "<i", "skip": "<I", "ref": "<I", "sym": "<H"}
+# + 8), the raw text (4) and the index block's stride (4), then the
+# suffix array of abab$, 4 B per entry: 1 (abab$), 3 (ab$), 2 (bab$),
+# 4 (b$), 5 ($).
+ABAB_SA = 4 + 6 + 32 + 8 + 4 + 4
+ABAB_SUFFIXES = [1, 3, 2, 4, 5]
 
 
 def abab_blob():
@@ -216,68 +215,65 @@ def patched(blob, offset, fmt, value):
     return bytes(blob)
 
 
-def column_offset(column, nid):
-    """Byte offset of node ``nid``'s value in one column of the abab
-    blob."""
-    return ABAB_COLUMNS + 4 * ABAB_NODES * list(COLUMN_FMT).index(column) \
-        + struct.calcsize(COLUMN_FMT[column]) * nid
-
-
-def abab_patched(changes):
-    """The abab blob with (column, node, value) changes."""
+def abab_with_suffix_array(entries):
     blob = abab_blob()
-    for column, nid, value in changes:
-        struct.pack_into(COLUMN_FMT[column], blob, column_offset(column, nid),
-                         value)
+    struct.pack_into("<5i", blob, ABAB_SA, *entries)
     return bytes(blob)
 
 
-@pytest.mark.parametrize("child", [1, 999], ids=["cycle", "out-of-range"])
-def test_bad_child_id_rejected(child):
-    """Node 1 named as its own parent, or a parent id past the block."""
-    with pytest.raises(ContainerError):
-        load_container(abab_patched([("parent", 1, child)]))
+def test_abab_suffix_array_offset():
+    blob = abab_blob()
+    assert list(struct.unpack_from("<5i", blob, ABAB_SA)) == ABAB_SUFFIXES
+    assert len(blob) == ABAB_SA + 4 * 5 + 4 + 12 * 7
 
 
-def test_parent_disagreement_rejected():
-    """Leaf 5 moved from node 4 to the root."""
-    with pytest.raises(ContainerError):
-        load_container(abab_patched([("parent", 5, 0)]))
+def test_every_wrong_suffix_array_rejected():
+    """Each of the 119 other orders of abab$'s suffixes is a tree with
+    leaves moved or swapped: every one is a ``ContainerError``."""
+    load_container(abab_with_suffix_array(ABAB_SUFFIXES))
+    for order in itertools.permutations(ABAB_SUFFIXES):
+        if list(order) == ABAB_SUFFIXES:
+            continue
+        with pytest.raises(ContainerError, match="suffix order"):
+            load_container(abab_with_suffix_array(order))
 
 
-def test_empty_edge_rejected():
-    with pytest.raises(ContainerError):
-        load_container(abab_patched([("skip", 1, 0)]))
+@pytest.mark.parametrize("entry,message", [
+    (2, "twice"), (0, "outside"), (6, "outside"), (-1, "outside")],
+    ids=["duplicate", "zero", "past-the-end", "negative"])
+def test_bad_suffix_array_entry_rejected(entry, message):
+    """The suffix array's last entry (the suffix $) replaced: a position
+    held twice, or none of abab$'s five."""
+    with pytest.raises(ContainerError, match=message):
+        load_container(abab_with_suffix_array(ABAB_SUFFIXES[:4] + [entry]))
 
 
-def test_parent_after_child_rejected():
-    """Leaf 2 hung below leaf 3: still one tree rooted at node 0, but a
-    parent id after its child's."""
-    with pytest.raises(ContainerError, match="at or after"):
-        load_container(abab_patched([("parent", 2, 3)]))
-
-
-def test_node_outside_its_parents_range_rejected():
-    """Leaf 5 below leaf 3 and leaf 6 below leaf 5: every parent id is
-    below its child's and every node's id is inside its parent's range,
-    but node 5's range (5 and 6) runs past node 3's (3 to 5), so the ids
-    are no preorder: node 3's subtree is not contiguous."""
-    with pytest.raises(ContainerError, match="outside its parent"):
-        load_container(abab_patched([("parent", 5, 3), ("parent", 6, 5)]))
-
-
-def test_siblings_sharing_a_symbol_rejected():
-    """The root's child $ relabelled 'a', the symbol of its sibling 1."""
-    with pytest.raises(ContainerError, match="share a symbol"):
-        load_container(abab_patched([("sym", 7, ord("a"))]))
+def test_every_swap_in_every_layer_rejected():
+    """Every two entries of every index block of ABRACADABRA's
+    interleaved p=4 container swapped: all rejected."""
+    cont = build_container(ABRA, "interleaved", 4)
+    blob = dump_container(cont)
+    off = 4 + 6 + 32 + 8 + len(ABRA)
+    for tree in cont.blocks()[0]:
+        n = len(tree.data)
+        for i, j in itertools.combinations(range(n), 2):
+            mutant = bytearray(blob)
+            a, b = off + 4 + 4 * i, off + 4 + 4 * j
+            mutant[a:a + 4], mutant[b:b + 4] = blob[b:b + 4], blob[a:a + 4]
+            with pytest.raises(ContainerError, match="suffix order"):
+                load_container(bytes(mutant))
+        off += 4 + 4 * n
+    assert off + 4 + 12 * len(cont.layered.dicts[2]) < len(blob)
 
 
 def test_version_1_rejected_with_rebuild_hint():
-    """Version 1 stored node ids in build order; it is not read."""
-    blob = abab_blob()
-    blob[4] = 1
-    with pytest.raises(ContainerError, match="rebuild"):
-        load_container(bytes(blob))
+    """Version 1 stored node ids in build order and version 2 four
+    columns per node; neither is read."""
+    for version in (1, 2):
+        blob = abab_blob()
+        blob[4] = version
+        with pytest.raises(ContainerError, match="rebuild"):
+            load_container(bytes(blob))
 
 
 def test_raw_text_change_caught_by_digest():
@@ -298,9 +294,11 @@ def test_trailing_bytes_rejected():
 
 
 def test_tree_missing_a_suffix_rejected():
-    """ABRACADABRA's tree without the leaf of suffix 1, ids renumbered:
-    every structural check passes, and a loader that took it answered
-    ABRA with (8,) where the text has (1, 8)."""
+    """ABRACADABRA's tree without the leaf of suffix 1, ids renumbered,
+    and its dictionary with them: a container version 2 loader took it
+    and answered ABRA with (8,) where the text has (1, 8).  Version 3
+    writes the suffix array, so the loaded tree has every suffix, and the
+    dictionary, renumbered for the smaller tree, is one entry short."""
     cont = build_container(ABRA, "tree")
     index = cont.index
     gone = next(nid for nid in range(len(index))
@@ -318,7 +316,8 @@ def test_tree_missing_a_suffix_rejected():
     cont.dct.entries = {renum(a) << 32 | renum(b): renum(w)
                         for (a, b), w in cont.dct.pairs()
                         if gone not in (a, b, w)}
-    with pytest.raises(ContainerError, match="suffixes"):
+    with pytest.raises(ContainerError, match="dictionary has 15 entries "
+                                             "for 16 non-root nodes"):
         load_container(dump_container(cont))
 
 
@@ -359,8 +358,8 @@ def shift_pairs(d, mid):
 
 def one_child_tree_container():
     """ABRACADABRA's tree with one edge split by a one-child node, which
-    the dictionary maps from a pair of its own.  Every other check passes:
-    a loader without the branching check took it."""
+    the dictionary maps from a pair of its own.  A container version 2
+    loader without the branching check took it."""
     cont = build_container(ABRA, "tree")
     mid = split_first_long_edge(cont.index)
     shift_pairs(cont.dct, mid)
@@ -368,19 +367,34 @@ def one_child_tree_container():
     return cont
 
 
+def assert_branching(tree):
+    """Every inner node but the root has two children or more."""
+    for nid in range(1, len(tree)):
+        assert len(tree.children(nid)) != 1, nid
+
+
 @pytest.mark.parametrize("kind", ["tree", "interleaved"])
 def test_tree_node_with_one_child_rejected(kind):
     """A non-root inner node of a tree (here the plain tree, or the top
     layer of an interleaved p=2 index, which no dictionary targets) must
-    branch."""
+    branch.  The container holds suffix arrays, and a tree derived from
+    one branches by construction, so the one-child node never reaches
+    the loaded index: the plain tree's dictionary, which maps it, is one
+    entry too long, and the interleaved container loads with layer 2's
+    node gone."""
     if kind == "tree":
-        cont = one_child_tree_container()
-    else:
-        cont = build_container(ABRA, kind, 2)
-        shift_pairs(cont.layered.dicts[2],
-                    split_first_long_edge(cont.layered.layers[2].tree))
-    with pytest.raises(ContainerError, match="one child"):
-        load_container(dump_container(cont))
+        with pytest.raises(ContainerError, match="dictionary has 17 "
+                                                 "entries for 16"):
+            load_container(dump_container(one_child_tree_container()))
+        return
+    cont = build_container(ABRA, kind, 2)
+    shift_pairs(cont.layered.dicts[2],
+                split_first_long_edge(cont.layered.layers[2].tree))
+    loaded = load_container(dump_container(cont))
+    for tree in loaded.blocks()[0]:
+        assert_branching(tree)
+    assert len(loaded.layered.layers[2].tree) == \
+        len(build_container(ABRA, kind, 2).layered.layers[2].tree)
 
 
 @pytest.mark.parametrize("stride", [2, 0, 2_000_000])
@@ -432,10 +446,13 @@ def test_repeated_dictionary_target_rejected():
 
 def test_trie_block_holding_a_tree_rejected():
     """ABRACADABRA's tree container with its kind byte set to trie: a
-    loader that took it answered trie-par p=2 with () for ABRA."""
+    loader that took it answered trie-par p=2 with () for ABRA.  The
+    suffix array gives the trie of the text, whose node count the tree's
+    dictionary does not match."""
     blob = bytearray(dump_container(build_container(ABRA, "tree")))
     blob[5] = 0
-    with pytest.raises(ContainerError, match="in a trie"):
+    with pytest.raises(ContainerError, match="dictionary has 16 entries "
+                                             "for 66 non-root nodes"):
         load_container(bytes(blob))
 
 
@@ -481,8 +498,8 @@ def test_single_byte_changes_rejected_or_harmless(kind, p):
         [layer.tree for layer in cont.layered.layers.values()]
     text = 4 + 6 + 32 + 8
     blocks = text + len(FLIP_TEXT)
-    # an index block: stride and count, then 14 bytes per node
-    dicts = blocks + sum(8 + 14 * len(t) for t in trees)
+    # an index block: its stride, then 4 bytes per data symbol
+    dicts = blocks + sum(4 + 4 * len(t.data) for t in trees)
     checked = list(range(4, text)) + list(range(blocks, dicts))
     digested = list(range(text, blocks)) + list(range(dicts, len(blob)))
     rng = random.Random(9)
