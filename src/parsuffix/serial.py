@@ -38,8 +38,8 @@ order:
    for a trie or tree and a power of two for an interleaved index; each
    index block's stride, which its position implies (1 for a trie or
    tree, k for layer k), checked before any text is made from it; no
-   dictionary block maps a pair or a node twice; the input ends with the
-   last block;
+   dictionary block maps a pair twice, or a node twice or to the root;
+   the input ends with the last block;
 2. the digest.  It covers the raw text (a changed symbol can leave every
    suffix array of the text valid) and which pair a dictionary entry
    holds, and nothing reads either before it matches;

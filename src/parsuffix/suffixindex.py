@@ -79,9 +79,9 @@ class SuffixIndex:
     every column at once, and nothing changes them afterwards.  The two
     symbol columns and ``cstart`` cost 8 B per node, a later child 6 B
     more.  A suffix tree of a random binary text of 16000 symbols holds
-    about 46 B per node in all, a suffix trie of 200 symbols about 38
-    (tracemalloc, CPython 3.11); with a child dict per node they held 183
-    and 287.
+    about 47 B per node in all, its suffix array included, a suffix trie
+    of 200 symbols about 38 (tracemalloc, CPython 3.11); with a child
+    dict per node they held 183 and 287.
 
     ``stride`` is the text's delimiter count k and ``base_len`` its length
     without them.  ``data`` is the concatenation of the text's k
@@ -218,6 +218,7 @@ def gather(values: Sequence[int] | Mapping[int, int],
 
 
 # -- construction ------------------------------------------------------
+
 
 def build_suffix_tree(text: Text) -> SuffixIndex:
     """Suffix tree over all suffixes of the text's k interleaved

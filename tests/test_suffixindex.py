@@ -188,11 +188,10 @@ def test_navigate_rejects_empty_pattern(abra_tree):
 
 
 def test_index_holds_a_few_collector_objects():
-    """The node store is a few arrays and one list of int-only child
-    dicts, which CPython's collector does not track: building a tree with
-    its ancestry and halving dictionary, and loading its container, each
-    leave a handful of tracked objects, not one per node (a tree of 4000
-    chars has about 8000 nodes)."""
+    """The node store is a few arrays, which CPython's collector does
+    not track: building a tree with its ancestry and halving dictionary,
+    and loading its container, each leave a handful of tracked objects,
+    not one per node (a tree of 4000 chars has about 8000 nodes)."""
     raw = random_text(random.Random(4), 4000, 2)
     gc.collect()
     gc.disable()
