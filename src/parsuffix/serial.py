@@ -50,9 +50,10 @@ order:
    index derived from it is the text's suffix tree or trie by
    construction: the index blocks need no digest and no structural
    checks;
-4. the derivation, and then each dictionary block's size and range: it
-   maps every non-root node of its target, from pairs of nodes of its
-   owner.
+4. the derivation of each suffix tree, and then each dictionary block's
+   size and range: it maps every non-root node of its target, from pairs
+   of nodes of its owner.  A trie's size is checked on its tree, before
+   the edges are expanded into the trie's nodes.
 
 Version 1 files (node ids in build order) and version 2 files (four
 columns per node) are rejected with a request to rebuild the index.
@@ -74,7 +75,8 @@ from .halving import (PairDict, build_tree_halving_dict,
 from .interleaved import LayerIndex, LayeredIndex, build_layered_index
 from .lanes import is_pow2
 from .suffixindex import (ROOT, SuffixIndex, build_suffix_tree,
-                          build_suffix_trie, fill_from_suffix_array, gather)
+                          build_suffix_trie, expand_edges,
+                          fill_from_suffix_array, gather)
 from .textmodel import make_text
 
 MAGIC = b"PQST"
@@ -210,11 +212,26 @@ class _Reader:
 
 def _unpack_index(raw: bytes, kind: str, stride: int,
                   sa: array) -> SuffixIndex:
-    """An index block's suffix array, checked, and the index it gives."""
+    """An index block's suffix array, checked, and the suffix tree it
+    gives (a trie index holds its tree's columns until
+    :func:`_expand_trie`)."""
     index = SuffixIndex(make_text(raw, stride), kind)
     _check_suffix_array(index.data, sa)
     fill_from_suffix_array(index, sa)
     return index
+
+
+def _expand_trie(trie: SuffixIndex, block: tuple[array, dict[int, int]]
+                 ) -> None:
+    """Expand a trie block's tree into the trie once the dictionary,
+    which maps each of its non-root nodes, has their count.  The suffix
+    array of n symbols can stand for a trie of order n² nodes: checked
+    after the expansion, a small file would make the loader build it."""
+    count, nodes = len(block[1]), sum(trie.skip)   # the root's skip is 0
+    if count != nodes:
+        raise ContainerError("dictionary has %d entries for %d non-root "
+                             "nodes" % (count, nodes))
+    expand_edges(trie)
 
 
 def _check_suffix_array(data: tuple[int, ...], sa: array) -> None:
@@ -321,6 +338,8 @@ def load_container(data: bytes) -> Container:
 
     indexes = [_unpack_index(raw, "trie" if kind == "trie" else "tree", k, sa)
                for k, sa in zip(strides, sas)]
+    if kind == "trie":
+        _expand_trie(indexes[0], dict_blocks[0])
     if kind == "interleaved":
         # layer k's dictionary maps pairs of its nodes to layer k/2's nodes
         dicts = {k: _unpack_dict(block, upper, lower) for k, block, upper,

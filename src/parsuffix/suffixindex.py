@@ -27,7 +27,7 @@ from array import array
 from bisect import bisect_right
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, itemgetter, mul, ne, sub
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from .textmodel import Pattern, Text, delimiter, interleave
 
@@ -76,7 +76,8 @@ class SuffixIndex:
     An index is a handful of arrays: no object per node, and nothing
     CPython's collector tracks per node.  There is no build phase: a
     fresh index has no nodes until :func:`fill_from_suffix_array` derives
-    every column at once, and nothing changes them afterwards.  The two
+    every column at once (a trie's are then expanded from the tree's by
+    :func:`expand_edges`), and nothing changes them afterwards.  The two
     symbol columns and ``cstart`` cost 8 B per node, a later child 6 B
     more.  A suffix tree of a random binary text of 16000 symbols holds
     about 47 B per node in all, its suffix array included, a suffix trie
@@ -230,7 +231,7 @@ def build_suffix_tree(text: Text) -> SuffixIndex:
 def build_suffix_trie(text: Text) -> SuffixIndex:
     """Suffix trie: one node per distinct nonempty substring, all skip
     values 1; the suffix tree with each edge expanded into one-symbol
-    edges."""
+    edges (:func:`expand_edges`)."""
     return _build(text, "trie")
 
 
@@ -239,6 +240,8 @@ def _build(text: Text, kind: str) -> SuffixIndex:
         raise ValueError("text must be nonempty")
     index = SuffixIndex(text, kind)
     fill_from_suffix_array(index, suffix_array(index.data))
+    if kind == "trie":
+        expand_edges(index)
     return index
 
 
@@ -271,10 +274,10 @@ def suffix_array(data: Sequence[int]) -> array:
 
 
 def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
-    """Derive every column of a fresh index from its data's suffix array
-    ``sa`` (1-based suffix starts in suffix order, kept as ``index.sa``),
-    which must be correct: the builders compute it, the container loader
-    checks it.
+    """Derive every column of a fresh index's suffix tree from its data's
+    suffix array ``sa`` (1-based suffix starts in suffix order, kept as
+    ``index.sa``), which must be correct: the builders compute it, the
+    container loader checks it.
 
     The suffix tree is the LCP-interval tree of the suffix array
     (Abouelhoda, Kurtz & Ohlebusch 2004).  One pass in text order gives
@@ -289,11 +292,11 @@ def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
     read backwards, it is the preorder with children in symbol order, and
     that is the id order.
 
-    A trie is the tree with each edge of skip s expanded into a chain of
-    s nodes with consecutive ids, so its ids stay a preorder.  The k
-    suffixes that are one delimiter each are the root's last children,
-    leaves that sort last: the reported leaves are ``sa[:base_len]``, and
-    a node's reporting range is its interval cut there."""
+    The k suffixes that are one delimiter each are the root's last
+    children, leaves that sort last: the reported leaves are
+    ``sa[:base_len]``, and a node's reporting range is its interval cut
+    there.  A trie index gets its tree's columns here and its own from
+    :func:`expand_edges`."""
     data = index.data
     n = len(data)
     at = (0,) + data + (-1,)            # at[p]: the symbol at position p
@@ -374,45 +377,55 @@ def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
     hi[ROOT] = cut
     up = gather(depths, ups)            # each node's parent's depth
     skip = array("i", map(sub, cum, up))
-    if index.kind == "trie":
-        parent, cum, ref, lref, lo, hi = _expand_edges(parent, skip, cum, ref,
-                                                       lref, lo, hi)
-        skip = array("i", [1]) * len(cum)
-        skip[ROOT] = 0
-        up = map(sub, cum, skip)
-    sym = array("H", gather(at, list(map(add, lref, up))))
-    sym[ROOT] = 0
-    index.parent, index.skip, index.cum, index.ref = parent, skip, cum, ref
-    index.leftmost_leaf_ref, index.sym = lref, sym
-    index.fsym, index.cstart, index.cid, index.csym = child_table(parent, sym)
     index.leaf_pos = array("i", gather(index.text_positions(), sa[:cut]))
-    index.leaf_lo, index.leaf_hi = lo, hi
     index.sa = sa
+    _set_columns(index, at, parent, skip, cum, ref, lref, lo, hi, up)
 
 
-def _expand_edges(parent: array, skip: array, cum: array, ref: array,
-                  *shared: array) -> tuple[array, ...]:
-    """A suffix trie's parent, cum and ref columns and its ``shared``
-    ones from its suffix tree's: tree node v becomes a chain of skip(v)
+def expand_edges(index: SuffixIndex) -> None:
+    """Turn the suffix tree columns :func:`fill_from_suffix_array` gave a
+    trie index into the trie's: tree node v becomes a chain of skip(v)
     nodes (one for the root) with consecutive ids, so a preorder stays
     one.  The chain's last node is v and keeps v's ref; every node of the
-    chain has v's values of the ``shared`` columns."""
+    chain has v's leftmost leaf and reporting range.
+
+    The trie has ``1 + sum(index.skip)`` nodes, of order n² for n
+    symbols: a caller that must bound it reads that first."""
+    skip = index.skip
     size = array("i", skip)
     size[ROOT] = 1
     start = list(accumulate(size, initial=0))
     total = start[-1]
     last = list(map(sub, islice(start, 1, None), repeat(1)))
-    tparent = array("i", range(-1, total - 1))
-    any(map(tparent.__setitem__, islice(start, 1, len(size)),
-            gather(last, parent[1:])))
-    tops = list(map(add, cum, repeat(1)))
-    tcum = array("i", chain.from_iterable(map(range, map(sub, tops, size),
-                                              tops)))
-    tref = array("i", bytes(4 * total))
-    any(map(tref.__setitem__, last, ref))
-    return (tparent, tcum, tref,
-            *(array("i", chain.from_iterable(map(repeat, col, size)))
-              for col in shared))
+    parent = array("i", range(-1, total - 1))
+    any(map(parent.__setitem__, islice(start, 1, len(size)),
+            gather(last, index.parent[1:])))
+    tops = list(map(add, index.cum, repeat(1)))
+    cum = array("i", chain.from_iterable(map(range, map(sub, tops, size),
+                                             tops)))
+    ref = array("i", bytes(4 * total))
+    any(map(ref.__setitem__, last, index.ref))
+    lref, lo, hi = (array("i", chain.from_iterable(map(repeat, col, size)))
+                    for col in (index.leftmost_leaf_ref, index.leaf_lo,
+                                index.leaf_hi))
+    skip = array("i", [1]) * total
+    skip[ROOT] = 0
+    _set_columns(index, (0,) + index.data, parent, skip, cum, ref, lref, lo,
+                 hi, map(sub, cum, skip))
+
+
+def _set_columns(index: SuffixIndex, at: Sequence[int], parent: array,
+                 skip: array, cum: array, ref: array, lref: array, lo: array,
+                 hi: array, up: Iterable[int]) -> None:
+    """Store the node columns and derive the edge symbols and the child
+    table from them: ``at[p]`` is the symbol at data position p, ``up``
+    each node's parent's depth."""
+    sym = array("H", gather(at, list(map(add, lref, up))))
+    sym[ROOT] = 0
+    index.parent, index.skip, index.cum, index.ref = parent, skip, cum, ref
+    index.leftmost_leaf_ref, index.sym = lref, sym
+    index.fsym, index.cstart, index.cid, index.csym = child_table(parent, sym)
+    index.leaf_lo, index.leaf_hi = lo, hi
 
 
 # -- queries -----------------------------------------------------------
