@@ -223,10 +223,11 @@ def _unpack_index(raw: bytes, kind: str, stride: int,
 
 def _expand_trie(trie: SuffixIndex, block: tuple[array, dict[int, int]]
                  ) -> None:
-    """Expand a trie block's tree into the trie once the dictionary,
-    which maps each of its non-root nodes, has their count.  The suffix
-    array of n symbols can stand for a trie of order n² nodes: checked
-    after the expansion, a small file would make the loader build it."""
+    """Expand a trie block's tree into the trie, after checking that the
+    dictionary, which maps each non-root trie node, has one entry per
+    node.  The suffix array of n symbols can stand for a trie of order n²
+    nodes: checked after the expansion, a small file would make the
+    loader build it."""
     count, nodes = len(block[1]), sum(trie.skip)   # the root's skip is 0
     if count != nodes:
         raise ContainerError("dictionary has %d entries for %d non-root "
