@@ -104,7 +104,7 @@ def _strides(kind: str, p: int) -> list[int]:
 class Container:
     """A text's built indexes, as built or loaded: what every query
     algorithm runs on; :meth:`blocks` lists them in file order.  A tree's
-    suffix links are kept on the tree (``index.ancestry``), not here."""
+    level ancestors are kept on the tree (``index.ancestry``), not here."""
 
     kind: str                      # "trie" | "tree" | "interleaved"
     raw: bytes

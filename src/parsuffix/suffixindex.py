@@ -118,7 +118,7 @@ class SuffixIndex:
         self.leaf_lo = array("i")
         self.leaf_hi = array("i")
         self.sa = array("i")
-        # suffix links, built once by ancestry.build_ancestry
+        # level ancestors, built once by ancestry.build_ancestry
         self.ancestry: Optional[AncestryIndex] = None
 
     # -- raw access ---------------------------------------------------

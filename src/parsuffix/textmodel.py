@@ -76,7 +76,8 @@ def make_text(raw: bytes | Sequence[int], k: int) -> Text:
     if k < 0:
         raise ValueError("k must be >= 0")
     base = tuple(raw)
-    if any(not (0 <= c <= 255) for c in base):
+    if not isinstance(raw, (bytes, bytearray)) and \
+            any(not (0 <= c <= 255) for c in base):
         raise ValueError("base characters must be byte values")
     return Text(base + tuple(delimiter(i) for i in range(1, k + 1)), len(base), k)
 

@@ -73,8 +73,8 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
     1. Lane 2 stands on a node b2, so cum2 is cum(b2): a move takes it
        onto a child, a restart to the root, and a shorten by d < cum(b2)
        to the suffix-link level ancestor, an internal node exactly d
-       shorter (``ancestry.suffix_links`` rejects other trees).  Reaching
-       a leaf ends the sweep, so lane 2 never shortens from one.
+       shorter (``level_ancestor_sl`` raises where there is none).
+       Reaching a leaf ends the sweep, so lane 2 never shortens from one.
     2. Once aligned, anchor == cum1: alignment and every later shorten or
        restart set it, and lane-2 moves keep it.
     3. No probe has the root as its left part: probes start at alignment,

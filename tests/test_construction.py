@@ -12,7 +12,7 @@ from parsuffix import (build_ancestry, build_container, build_layered_index,
                        build_suffix_tree, build_suffix_trie,
                        build_tree_halving_dict, build_trie_halving_dict,
                        dump_container, load_container, make_text, occurrences)
-from parsuffix.ancestry import suffix_links
+from parsuffix.ancestry import level_ancestor_sl
 from parsuffix.serial import Container
 from parsuffix.suffixindex import ROOT, descend, navigate
 
@@ -41,6 +41,14 @@ TEXTS = _texts()
 IDS = [name for name, _ in TEXTS]
 
 
+def suffix_links(tree):
+    """Each node's suffix link, the root linking to itself: a shorten by
+    one symbol."""
+    anc = build_ancestry(tree)
+    return [ROOT] + [level_ancestor_sl(anc, nid, 1)
+                     for nid in range(1, len(tree))]
+
+
 def assert_same_nodes(got, want):
     assert len(got) == len(want)
     for nid in range(len(got)):
@@ -55,9 +63,7 @@ def test_tree_matches_oracle(raw):
     tree = build_suffix_tree(make_text(raw, 1))
     oracle = naive_suffix_tree(make_text(raw, 1))
     assert_same_nodes(tree, oracle)
-    assert list(suffix_links(tree)) == naive_suffix_links(oracle)
-    assert list(build_ancestry(tree).jump[0]) == \
-        naive_suffix_links(oracle)
+    assert suffix_links(tree) == naive_suffix_links(oracle)
     want_dict = naive_tree_dict(oracle)
     assert build_tree_halving_dict(tree).entries == want_dict.entries
     assert dump_container(build_container(raw, "tree")) == \
@@ -109,8 +115,7 @@ def test_layers_match_oracle(raw):
     for k in (1, 2, 4, 8):
         tree = got.layers[k].tree
         assert_same_nodes(tree, want.layers[k].tree)
-        assert list(suffix_links(tree)) == \
-            naive_suffix_links(want.layers[k].tree)
+        assert suffix_links(tree) == naive_suffix_links(want.layers[k].tree)
     for k in (2, 4, 8):
         assert got.dicts[k].entries == want.dicts[k].entries
     assert dump_container(Container("interleaved", raw, 8, layered=got)) == \
