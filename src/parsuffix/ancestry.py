@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, islice, repeat
+from operator import eq
 
-from .suffixindex import ROOT, NodeId, SuffixIndex
+from .suffixindex import NO_SYM, ROOT, NodeId, SuffixIndex
 
 
 class AncestryError(Exception):
@@ -58,10 +59,11 @@ def build_ancestry(tree: SuffixIndex) -> AncestryIndex:
             depth[v] = du + 1
             jump[v] = jump[up] if du - depth[up] == \
                 depth[up] - depth[jump[up]] else u
-        ref = tree.ref
+        # the leaves in id order are the suffixes in sa's order
         leaf = array("i", [0]) * (len(tree.data) + 1)
-        any(map(leaf.__setitem__, compress(ref, ref),
-                compress(range(len(ref)), ref)))
+        any(map(leaf.__setitem__, tree.sa,
+                compress(range(len(parents)),
+                         map(eq, tree.fsym, repeat(NO_SYM)))))
         tree.ancestry = AncestryIndex(tree.cum, tree.parent, tree.sa,
                                       tree.leaf_hi, array("i", jump), leaf)
     return tree.ancestry
@@ -75,8 +77,8 @@ def level_ancestor_sl(anc: AncestryIndex, nid: NodeId, d: int) -> NodeId:
     The last suffix, not the first: on unary text the first one's shifted
     leaf hangs at the bottom of the one long chain, far below the answer,
     the last one's from the answer itself, and periodic texts behave
-    alike.  A non-root node's reporting range is clipped only for the
-    root's delimiter leaves, whose one symbol leaves nothing to shift, so
+    alike.  A non-root node's range is empty only for the root's
+    delimiter leaves, whose one symbol leaves nothing to shift, so
     ``sa[leaf_hi[nid] - 1]`` is a suffix below ``nid``."""
     cum = anc.cum
     want = cum[nid] - d

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .ancestry import build_ancestry, level_ancestor_sl
-from .suffixindex import ROOT, NodeId, SuffixIndex
+from .suffixindex import ROOT, NodeId, SuffixIndex, gather
 
 
 class PairDictError(Exception):
@@ -74,7 +74,7 @@ def build_trie_halving_dict(trie: SuffixIndex) -> PairDict:
         raise ValueError("trie halving dictionary requires a suffix trie")
     child = trie.child
     parent, cum, sym = trie.parent, trie.cum, trie.sym
-    lrefs = trie.leftmost_leaf_ref
+    lrefs = gather(trie.sa, trie.leaf_lo)     # each node's leftmost suffix
     data = trie.data
     link = array("i", [ROOT]) * len(trie)
     a1 = array("i", link)

@@ -23,7 +23,7 @@ from .lanes import Mapper, is_pow2, seq_map, thread_map
 from .ledger import StepLedger
 from .query import EMPTY, QueryResult
 from .suffixindex import (ROOT, NodeId, SuffixIndex, build_suffix_tree,
-                          descend, occurrences, verify_against_text)
+                          descend, gather, occurrences, verify_against_text)
 from .textmodel import Pattern, make_text
 from .trieparallel import ParameterError
 
@@ -66,13 +66,14 @@ def build_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     if upper.k != 2 * lower.k:
         raise ParameterError("layer dict needs strides k and k/2")
     low = lower.tree
-    cum, skip = low.cum, low.skip
+    cum, parent = low.cum, low.parent
+    lrefs = gather(low.sa, low.leaf_lo)     # each node's leftmost suffix
     even_cover = array("i", [ROOT]) * len(low)
     odd_cover = array("i", even_cover)
     for nid in range(1, len(low)):
-        short_len = cum[nid] - skip[nid] + 1
-        first = low.leftmost_leaf_ref[nid] - 1  # data[first + i]: symbol i
-        par = low.parent[nid]
+        par = parent[nid]
+        short_len = cum[par] + 1
+        first = lrefs[nid] - 1              # data[first + i]: symbol i
         even_cover[nid] = _cover(upper.tree, even_cover[par], low.data, first,
                                  (short_len + 1) // 2)
         odd_cover[nid] = _cover(upper.tree, odd_cover[par], low.data,

@@ -228,7 +228,9 @@ def _expand_trie(trie: SuffixIndex, block: tuple[array, dict[int, int]]
     node.  The suffix array of n symbols can stand for a trie of order n²
     nodes: checked after the expansion, a small file would make the
     loader build it."""
-    count, nodes = len(block[1]), sum(trie.skip)   # the root's skip is 0
+    # one node per symbol of the tree's edges
+    count = len(block[1])
+    nodes = sum(trie.cum) - sum(gather(trie.cum, trie.parent[1:]))
     if count != nodes:
         raise ContainerError("dictionary has %d entries for %d non-root "
                              "nodes" % (count, nodes))

@@ -7,12 +7,14 @@ Abouelhoda, Kurtz & Ohlebusch (2004): a node is an id into a few
 symbol order, and an inner node's children are the next id and a range
 of one flat child table.  Every index is derived from its data's suffix
 array (:func:`fill_from_suffix_array`), by the builders and by the
-container loader alike.  A node's incoming edge is described only by its
-first (discriminator) character and its length (``skip``); the full
-label is recovered from the indexed symbol sequence via
-``leftmost_leaf_ref``.  Navigation therefore compares only discriminator
-characters, and callers must verify skipped characters against the text
-before trusting a match (patricia semantics).
+container loader alike, and every per-suffix fact is read from that
+array through a node's range of it.  A node's incoming edge is described
+only by its first (discriminator) character and its length (its string
+depth less its parent's); the full label is recovered from the indexed
+symbol sequence via the node's leftmost suffix.  Navigation
+therefore compares only discriminator characters, and callers must
+verify skipped characters against the text before trusting a match
+(patricia semantics).
 
 A text with k delimiters is indexed as its k interleaved subsequences
 (the interleaved layers; k = 1 is the plain text): they are concatenated
@@ -45,12 +47,10 @@ class SuffixIndex:
     subsequences, one entry per node in each per-field array, indexed by
     node id (the root is node 0, the ids are a preorder):
 
-    - ``parent`` (``NO_PARENT`` for the root), ``skip`` (incoming edge
-      length in symbols, 0 for the root), ``cum`` (cumulative skip, root
-      to node), ``ref`` (a leaf's 1-based suffix start in ``data``, 0 for
-      none) and ``leftmost_leaf_ref`` (the 1-based data position of the
-      first suffix below in suffix order) are ``array("i")``s, 4 bytes
-      per node each;
+    - ``parent`` (``NO_PARENT`` for the root) and ``cum`` (cumulative
+      skip: string depth, root to node; an edge is ``cum[v] -
+      cum[parent[v]]`` symbols long) are ``array("i")``s, 4 bytes per
+      node each;
     - ``sym`` is the first symbol of the node's incoming edge (0 for the
       root) and ``fsym`` that of its first child's (:data:`NO_SYM` for a
       leaf), ``array("H")``s: the symbols, delimiters included, must fit
@@ -60,13 +60,15 @@ class SuffixIndex:
       ``cid[cstart[v]:cstart[v + 1]]`` in symbol order, with their edge
       symbols at the same places of ``csym`` (``cstart`` has one entry
       more than there are nodes);
-    - the reporting range: ``leaf_pos`` lists the text positions of the
-      reported leaves (those whose suffix starts in the text, not in the
-      delimiter tail) in leaf order, and ``leaf_pos[leaf_lo[v]:
-      leaf_hi[v]]`` are the ones below node v;
     - ``sa``, the data's suffix array: the 1-based start of each suffix
-      in suffix order, the leaves' refs in id order.  It is all the
-      container stores of an index.
+      in suffix order, the leaves' suffixes in id order.  It is all the
+      container stores of an index;
+    - the range: ``sa[leaf_lo[v]:leaf_hi[v]]`` are the reported suffixes
+      below node v, those that start with a text symbol, not with a
+      delimiter, and ``sa[leaf_lo[v]]`` is its leftmost suffix.  A leaf's
+      suffix is ``sa[leaf_lo[v]]`` too; for the k delimiter leaves,
+      which sort last, ``leaf_hi`` equals ``leaf_lo`` and the root's
+      range stops before them.
 
     A lookup compares ``fsym`` (one read, the whole lookup on a unary
     chain) and only then searches the node's later children with
@@ -77,18 +79,18 @@ class SuffixIndex:
     CPython's collector tracks per node.  There is no build phase: a
     fresh index has no nodes until :func:`fill_from_suffix_array` derives
     every column at once (a trie's are then expanded from the tree's by
-    :func:`expand_edges`), and nothing changes them afterwards.  The two
-    symbol columns and ``cstart`` cost 8 B per node, a later child 6 B
-    more.  A suffix tree of a random binary text of 16000 symbols holds
-    about 47 B per node in all, its suffix array included, a suffix trie
-    of 200 symbols about 38 (tracemalloc, CPython 3.11); with a child
-    dict per node they held 183 and 287.
+    :func:`expand_edges`), and nothing changes them afterwards.  The four
+    int columns cost 16 B per node, the two symbol columns and ``cstart``
+    8 B, a later child 6 B more.  A loaded suffix tree of a random binary
+    text of 4000 symbols holds about 34 B per node in all, its suffix
+    array included, a suffix trie of 200 symbols about 25 (tracemalloc,
+    CPython 3.11); with a child dict per node they held 187 and 287.
 
     ``stride`` is the text's delimiter count k and ``base_len`` its length
     without them.  ``data`` is the concatenation of the text's k
     interleaved subsequences (just the text symbols for k = 1), and
     ``seq_starts`` holds the 1-based data position where each subsequence
-    begins; leaf refs map back to text positions through both.
+    begins; data positions map back to text positions through both.
     """
 
     def __init__(self, text: Text, kind: str) -> None:
@@ -105,16 +107,12 @@ class SuffixIndex:
                                            initial=1))
         # every column is set by fill_from_suffix_array
         self.parent = array("i")
-        self.skip = array("i")
         self.cum = array("i")
-        self.ref = array("i")
-        self.leftmost_leaf_ref = array("i")
         self.sym = array("H")
         self.fsym = array("H")
         self.cstart = array("i")
         self.cid = array("i")
         self.csym = array("H")
-        self.leaf_pos = array("i")
         self.leaf_lo = array("i")
         self.leaf_hi = array("i")
         self.sa = array("i")
@@ -156,12 +154,12 @@ class SuffixIndex:
 
     def spelling(self, nid: NodeId) -> tuple[int, ...]:
         """The node's longest corresponding substring."""
-        r = self.leftmost_leaf_ref[nid]
+        r = self.sa[self.leaf_lo[nid]]
         return self.data[r - 1: r - 1 + self.cum[nid]]
 
     def shortest_len(self, nid: NodeId) -> int:
-        """Length of the node's shortest corresponding substring."""
-        return self.cum[nid] - self.skip[nid] + 1
+        """Length of a non-root node's shortest corresponding substring."""
+        return self.cum[self.parent[nid]] + 1
 
     def data_pos_to_text_pos(self, dpos: int) -> int:
         """Map a 1-based data position to the 1-based original-text position
@@ -169,21 +167,6 @@ class SuffixIndex:
         si = bisect_right(self.seq_starts, dpos) - 1
         offset = dpos - self.seq_starts[si]          # 0-based within sequence
         return (si + 1) + offset * self.stride
-
-    def text_positions(self) -> array:
-        """The text position of each data position: ``t[d]`` for 1-based
-        data position d (delimiter tail positions map past the text), and
-        ``t[0] = base_len + 1``, also past the text, for a missing ref."""
-        k = self.stride
-        if k == 1:
-            table = array("i", range(len(self.data) + 1))
-        else:
-            ends = self.seq_starts[1:] + (len(self.data) + 1,)
-            table = array("i", [0])
-            for i, (start, end) in enumerate(zip(self.seq_starts, ends), 1):
-                table.extend(range(i, i + k * (end - start), k))
-        table[0] = self.base_len + 1
-        return table
 
 
 def child_table(parent: array, sym: array
@@ -229,9 +212,9 @@ def build_suffix_tree(text: Text) -> SuffixIndex:
 
 
 def build_suffix_trie(text: Text) -> SuffixIndex:
-    """Suffix trie: one node per distinct nonempty substring, all skip
-    values 1; the suffix tree with each edge expanded into one-symbol
-    edges (:func:`expand_edges`)."""
+    """Suffix trie: one node per distinct nonempty substring; the suffix
+    tree with each edge expanded into one-symbol edges
+    (:func:`expand_edges`)."""
     return _build(text, "trie")
 
 
@@ -293,10 +276,10 @@ def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
     that is the id order.
 
     The k suffixes that are one delimiter each are the root's last
-    children, leaves that sort last: the reported leaves are
-    ``sa[:base_len]``, and a node's reporting range is its interval cut
-    there.  A trie index gets its tree's columns here and its own from
-    :func:`expand_edges`."""
+    children, leaves that sort last: the reported suffixes are
+    ``sa[:base_len]``, the root's range stops there, and each delimiter
+    leaf's range is empty at its own place.  A trie index gets its tree's
+    columns here and its own from :func:`expand_edges`."""
     data = index.data
     n = len(data)
     at = (0,) + data + (-1,)            # at[p]: the symbol at position p
@@ -318,19 +301,18 @@ def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
         map(range, map(sub, seq_ends, index.seq_starts), repeat(0),
             repeat(-1)))), sa)
     # the nodes as they close: depth, left bound, one past the right
-    # bound, ref, and the parent's place in the open intervals' lists
-    cums, lbs, ends, refs, ups = [], [], [], [], []
+    # bound, and the parent's place in the open intervals' lists
+    cums, lbs, ends, ups = [], [], [], []
     # the intervals in the order they open, the root first: depth, one
     # past the right bound, and where each closed in the lists above
     depths, opens, closed = [0], [n], [0]
     stack = [ROOT]
     top = depth = 0
-    for i, d, r, length in zip(range(n - 1, -1, -1), reversed(lcp),
-                               reversed(sa), reversed(lengths)):
+    for i, d, length in zip(range(n - 1, -1, -1), reversed(lcp),
+                            reversed(lengths)):
         cums.append(length)
         lbs.append(i)
         ends.append(i + 1)
-        refs.append(r)
         if d > depth:                   # open the interval around i - 1, i
             top = len(depths)
             stack.append(top)
@@ -345,7 +327,6 @@ def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
             cums.append(depth)
             lbs.append(i)
             ends.append(end)
-            refs.append(0)
             stack.pop()
             top = stack[-1]
             depth = depths[top]
@@ -361,38 +342,33 @@ def fill_from_suffix_array(index: SuffixIndex, sa: array) -> None:
     cums.append(0)
     lbs.append(0)
     ends.append(n)
-    refs.append(0)
     ups.append(ROOT)
-    for col in (cums, lbs, ends, refs, ups):
+    for col in (cums, lbs, ends, ups):
         col.reverse()
     total = len(cums)
     parent = array("i", map(sub, repeat(total - 1), gather(closed, ups)))
     parent[ROOT] = NO_PARENT
-    cum, ref = array("i", cums), array("i", refs)
     lo, hi = array("i", lbs), array("i", ends)
-    lref = array("i", gather(sa, lbs))
-    cut = index.base_len
     k = index.stride
-    lo[total - k:] = hi[total - k:] = array("i", [cut]) * k
-    hi[ROOT] = cut
-    up = gather(depths, ups)            # each node's parent's depth
-    skip = array("i", map(sub, cum, up))
-    index.leaf_pos = array("i", gather(index.text_positions(), sa[:cut]))
+    hi[total - k:] = lo[total - k:]     # the delimiter leaves report nothing
+    hi[ROOT] = index.base_len
     index.sa = sa
-    _set_columns(index, at, parent, skip, cum, ref, lref, lo, hi, up)
+    _set_columns(index, at, parent, array("i", cums), lo, hi,
+                 gather(depths, ups))
 
 
 def expand_edges(index: SuffixIndex) -> None:
     """Turn the suffix tree columns :func:`fill_from_suffix_array` gave a
-    trie index into the trie's: tree node v becomes a chain of skip(v)
-    nodes (one for the root) with consecutive ids, so a preorder stays
-    one.  The chain's last node is v and keeps v's ref; every node of the
-    chain has v's leftmost leaf and reporting range.
+    trie index into the trie's: tree node v becomes a chain of nodes, one
+    per symbol of v's edge (one for the root), with consecutive ids, so a
+    preorder stays one.  The chain's last node is v; every node of the
+    chain has v's range, so its leftmost suffix too.
 
-    The trie has ``1 + sum(index.skip)`` nodes, of order n² for n
-    symbols: a caller that must bound it reads that first."""
-    skip = index.skip
-    size = array("i", skip)
+    The trie has one node more than the tree's edges have symbols, of
+    order n² for n symbols: a caller that must bound it reads that
+    first."""
+    tree_cum = index.cum
+    size = array("i", map(sub, tree_cum, gather(tree_cum, index.parent)))
     size[ROOT] = 1
     start = list(accumulate(size, initial=0))
     total = start[-1]
@@ -400,30 +376,24 @@ def expand_edges(index: SuffixIndex) -> None:
     parent = array("i", range(-1, total - 1))
     any(map(parent.__setitem__, islice(start, 1, len(size)),
             gather(last, index.parent[1:])))
-    tops = list(map(add, index.cum, repeat(1)))
+    tops = list(map(add, tree_cum, repeat(1)))
     cum = array("i", chain.from_iterable(map(range, map(sub, tops, size),
                                              tops)))
-    ref = array("i", bytes(4 * total))
-    any(map(ref.__setitem__, last, index.ref))
-    lref, lo, hi = (array("i", chain.from_iterable(map(repeat, col, size)))
-                    for col in (index.leftmost_leaf_ref, index.leaf_lo,
-                                index.leaf_hi))
-    skip = array("i", [1]) * total
-    skip[ROOT] = 0
-    _set_columns(index, (0,) + index.data, parent, skip, cum, ref, lref, lo,
-                 hi, map(sub, cum, skip))
+    lo, hi = (array("i", chain.from_iterable(map(repeat, col, size)))
+              for col in (index.leaf_lo, index.leaf_hi))
+    _set_columns(index, (0,) + index.data, parent, cum, lo, hi,
+                 chain((0,), map(sub, islice(cum, 1, None), repeat(1))))
 
 
 def _set_columns(index: SuffixIndex, at: Sequence[int], parent: array,
-                 skip: array, cum: array, ref: array, lref: array, lo: array,
-                 hi: array, up: Iterable[int]) -> None:
+                 cum: array, lo: array, hi: array, up: Iterable[int]) -> None:
     """Store the node columns and derive the edge symbols and the child
     table from them: ``at[p]`` is the symbol at data position p, ``up``
-    each node's parent's depth."""
-    sym = array("H", gather(at, list(map(add, lref, up))))
+    each node's parent's depth, and an edge's first symbol follows it in
+    the node's leftmost suffix."""
+    sym = array("H", gather(at, list(map(add, gather(index.sa, lo), up))))
     sym[ROOT] = 0
-    index.parent, index.skip, index.cum, index.ref = parent, skip, cum, ref
-    index.leftmost_leaf_ref, index.sym = lref, sym
+    index.parent, index.cum, index.sym = parent, cum, sym
     index.fsym, index.cstart, index.cid, index.csym = child_table(parent, sym)
     index.leaf_lo, index.leaf_hi = lo, hi
 
@@ -489,16 +459,17 @@ def navigate(index: SuffixIndex, seq: Sequence[int]
 
 
 def occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
-    """Sorted 1-based text positions of all suffixes below ``nid``,
-    excluding suffixes that begin inside the delimiter tail: a slice of
-    the index's leaf-order reporting range."""
-    return sorted(index.leaf_pos[index.leaf_lo[nid]:index.leaf_hi[nid]])
+    """Sorted 1-based text positions of all suffixes below ``nid`` of a
+    stride-1 index, excluding the delimiter's: its range of the suffix
+    array.  On a stride-k index with k > 1 these are data positions,
+    which no query reports."""
+    return sorted(index.sa[index.leaf_lo[nid]:index.leaf_hi[nid]])
 
 
 def verify_against_text(index: SuffixIndex, nid: NodeId, pat: Pattern) -> bool:
     """Check the characters skipped during patricia navigation: true iff
     the node's label actually starts with the pattern."""
-    r = index.leftmost_leaf_ref[nid]
+    r = index.sa[index.leaf_lo[nid]]
     if r + pat.m - 1 > len(index.data):
         return False
     return index.data[r - 1: r - 1 + pat.m] == pat.chars

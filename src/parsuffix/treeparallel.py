@@ -116,7 +116,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
     peeked edge.  Lane 2's clock runs t2 = max(t2, ready) + amount.  Each
     distinct probed pair is one probe.  The per-step code spells min and
     max as conditional expressions: the calls cost more than the step."""
-    cum, parent, ref = tree.cum, tree.parent, tree.ref
+    cum, parent, sa, leaf_lo = tree.cum, tree.parent, tree.sa, tree.leaf_lo
     fsym, cstart, cid, csym = tree.fsym, tree.cstart, tree.cid, tree.csym
     chars, m = pat.chars, pat.m
     walk1, covers1 = lane1
@@ -203,7 +203,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
             b1, cum1 = node, c
             next1 += 1
             if fsym[node] == NO_SYM:
-                return hits, b1, ref[node]
+                return hits, b1, sa[leaf_lo[node]]
         else:
             if not covers1:
                 return hits, None, None
@@ -226,7 +226,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
             t2 += step                   # reads nothing of lane 1
             b2, cum2 = nxt, c
             if fsym[nxt] == NO_SYM:
-                return hits, b1, ref[nxt] - anchor
+                return hits, b1, sa[leaf_lo[nxt]] - anchor
         while True:
             # lane 1 has moved: shorten lane 2 from the left by the overlap
             # (invariant 2), or align on first reaching its start
@@ -297,7 +297,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
                 t2 = (t2 if t2 > ready else ready) + step
                 b2, cum2 = nxt, c
                 if fsym[nxt] == NO_SYM:
-                    return hits, b1, ref[nxt] - anchor
+                    return hits, b1, sa[leaf_lo[nxt]] - anchor
                 if aligned:
                     window(b1, nxt)
             # lane 1 moves onto its next edge
@@ -305,7 +305,7 @@ def _sweep(tree: SuffixIndex, anc: AncestryIndex, dct: PairDict,
             b1, cum1 = walk1[next1]
             next1 += 1
             if fsym[b1] == NO_SYM:
-                return hits, b1, ref[b1]
+                return hits, b1, sa[leaf_lo[b1]]
     finally:
         nav1 = min(walk1[peeked1][1], half)
         if nav1:

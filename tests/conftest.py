@@ -32,6 +32,19 @@ def find_node(index, label: str):
     return nid
 
 
+def suffix_of(index, nid):
+    """The 1-based data position of a leaf's suffix, or of an inner node's
+    leftmost one: the first of its range of the suffix array."""
+    return index.sa[index.leaf_lo[nid]]
+
+
+def reported_leaves(index, n):
+    """The leaves whose suffix starts with one of the text's n symbols,
+    not with a delimiter."""
+    return [nid for nid in range(len(index)) if not index.children(nid)
+            and index.data_pos_to_text_pos(suffix_of(index, nid)) <= n]
+
+
 def naive_positions(raw: bytes, pat: bytes) -> tuple[int, ...]:
     """All 1-based occurrence positions, overlapping included."""
     m = len(pat)

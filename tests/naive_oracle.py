@@ -10,7 +10,7 @@ included)."""
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from parsuffix.ancestry import AncestryIndex, level_ancestor_sl
 from parsuffix.halving import PairDict, probe
@@ -88,44 +88,61 @@ def naive_suffix_trie(text: Text) -> SuffixIndex:
     return idx
 
 
+class Walk(NamedTuple):
+    """What an index reads from its suffix array, per node, as the
+    numbering walk finds it: the incoming edge's length (0 for the root),
+    the leftmost leaf's suffix, and a leaf's own suffix (0 for an inner
+    node)."""
+
+    edge: list[int]
+    leftmost: list[int]
+    suffix: list[int]
+
+
+def walk_values(index: SuffixIndex) -> Walk:
+    """The :class:`Walk` values an index gives, read from its columns."""
+    ids = range(len(index))
+    leftmost = [index.sa[index.leaf_lo[nid]] for nid in ids]
+    return Walk([index.cum[nid] - index.cum[index.parent[nid]] if nid else 0
+                 for nid in ids], leftmost,
+                [0 if index.children(nid) else leftmost[nid] for nid in ids])
+
+
 def _number(idx: SuffixIndex, root: _Node) -> None:
     """Fill the index's columns by a recursive preorder walk of ``root``'s
-    tree, children in symbol order."""
-    tpos = idx.text_positions()
-    parent, skip, cum, ref, lref, sym = [], [], [], [], [], []
-    lo, hi, pos = [], [], []
+    tree, children in symbol order, and keep the walk's own
+    :class:`Walk` values as ``idx.walk``."""
+    parent, cum, sym, lo, hi, sa = [], [], [], [], [], []
+    walk = Walk([], [], [])
 
     def visit(node: _Node, par: NodeId, edge: int) -> int:
-        """Number ``node``'s subtree; returns its leftmost leaf's ref."""
+        """Number ``node``'s subtree; returns its count of reported
+        leaves, those whose suffix starts with a text symbol."""
         nid = len(parent)
         parent.append(par)
-        skip.append(node.depth - (cum[par] if par != NO_PARENT else 0))
+        walk.edge.append(node.depth - (cum[par] if par != NO_PARENT else 0))
         cum.append(node.depth)
-        ref.append(node.ref)
         sym.append(edge)
-        lref.append(node.ref)
-        lo.append(len(pos))
+        walk.suffix.append(node.ref)
+        walk.leftmost.append(node.ref)
+        lo.append(len(sa))
         hi.append(0)
-        if not node.kids and tpos[node.ref] <= idx.base_len:
-            pos.append(tpos[node.ref])
-        for i, c in enumerate(sorted(node.kids)):
-            first = visit(node.kids[c], nid, c)
-            if i == 0:
-                lref[nid] = first
-        hi[nid] = len(pos)
-        return lref[nid]
+        if node.kids:
+            reported = sum(visit(node.kids[c], nid, c)
+                           for c in sorted(node.kids))
+            walk.leftmost[nid] = walk.leftmost[nid + 1]   # first child
+        else:
+            sa.append(node.ref)
+            reported = idx.data_pos_to_text_pos(node.ref) <= idx.base_len
+        hi[nid] = lo[nid] + reported
+        return reported
 
     visit(root, NO_PARENT, 0)
-    idx.parent, idx.skip, idx.cum, idx.ref = (array("i", col) for col in
-                                              (parent, skip, cum, ref))
-    idx.leftmost_leaf_ref = array("i", lref)
+    idx.parent, idx.cum, idx.leaf_lo, idx.leaf_hi, idx.sa = (
+        array("i", col) for col in (parent, cum, lo, hi, sa))
     idx.sym = array("H", sym)
     idx.fsym, idx.cstart, idx.cid, idx.csym = child_table(idx.parent, idx.sym)
-    idx.leaf_pos, idx.leaf_lo, idx.leaf_hi = (array("i", col) for col in
-                                              (pos, lo, hi))
-    # the leaves in preorder are the suffixes in suffix order
-    idx.sa = array("i", [r for nid, r in enumerate(ref)
-                         if not idx.children(nid)])
+    idx.walk = walk
 
 
 def naive_layer(raw: bytes, k: int) -> LayerIndex:
@@ -163,33 +180,35 @@ def walk_cover(index: SuffixIndex, seq: Sequence[int]) -> NodeId:
     return cur
 
 
-def naive_occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
-    """Sorted text positions of the leaves below ``nid``, found by walking
-    its subtree; suffixes starting in the delimiter tail are left out."""
+def naive_suffixes(index: SuffixIndex, nid: NodeId) -> list[int]:
+    """Sorted data positions of the leaves' suffixes below ``nid``, found
+    by walking its subtree; suffixes that start with a delimiter are left
+    out."""
     out = []
     stack = [nid]
     while stack:
         top = stack.pop()
         if index.children(top):
             stack.extend(child for _, child in index.children(top))
-        elif index.ref[top]:
-            pos = index.data_pos_to_text_pos(index.ref[top])
-            if pos <= index.base_len:
+        else:
+            pos = index.sa[index.leaf_lo[top]]
+            if index.data_pos_to_text_pos(pos) <= index.base_len:
                 out.append(pos)
     return sorted(out)
+
+
+def naive_occurrences(index: SuffixIndex, nid: NodeId) -> list[int]:
+    """Sorted text positions of the leaves below ``nid``, found by walking
+    its subtree: :func:`naive_suffixes` mapped to the text."""
+    return sorted(map(index.data_pos_to_text_pos, naive_suffixes(index, nid)))
 
 
 def naive_suffix_links(tree: SuffixIndex) -> list[NodeId]:
     links = [ROOT] * len(tree)
     for nid in range(1, len(tree)):
-        links[nid] = walk_exact(tree, tree.leftmost_leaf_ref[nid] + 1,
+        links[nid] = walk_exact(tree, tree.sa[tree.leaf_lo[nid]] + 1,
                                 tree.cum[nid] - 1)
     return links
-
-
-def _label(index: SuffixIndex, nid: NodeId, length: int) -> tuple[int, ...]:
-    r = index.leftmost_leaf_ref[nid]
-    return index.data[r - 1: r - 1 + length]
 
 
 def naive_trie_dict(trie: SuffixIndex) -> PairDict:
@@ -200,7 +219,7 @@ def naive_trie_dict(trie: SuffixIndex) -> PairDict:
         a1 = nid
         for _ in range(depth - left):
             a1 = trie.parent[a1]
-        d.add(a1, walk_cover(trie, _label(trie, nid, depth)[left:]), nid)
+        d.add(a1, walk_cover(trie, trie.spelling(nid)[left:]), nid)
     return d
 
 
@@ -216,7 +235,7 @@ def naive_tree_dict(tree: SuffixIndex) -> PairDict:
             cur = tree.parent[cur]
         bhat = tree.cum[b1]
         b2 = ROOT if bhat >= short_len else \
-            walk_cover(tree, _label(tree, nid, short_len)[bhat:])
+            walk_cover(tree, tree.spelling(nid)[bhat:short_len])
         d.add(b1, b2, nid)
     return d
 
@@ -225,7 +244,7 @@ def naive_layer_dict(upper: LayerIndex, lower: LayerIndex) -> PairDict:
     d = PairDict(owner=upper.tree, target=lower.tree)
     low = lower.tree
     for nid in range(1, len(low)):
-        s = _label(low, nid, low.shortest_len(nid))
+        s = low.spelling(nid)[:low.shortest_len(nid)]
         d.add(walk_cover(upper.tree, s[0::2]), walk_cover(upper.tree, s[1::2]),
               nid)
     return d
@@ -309,7 +328,7 @@ class FullSweepDriver:
         self.b1, self.cum1 = self.walk1[self.next1]
         self.next1 += 1
         if not self.tree.children(self.b1):
-            raise _LeafExit(self.tree.ref[self.b1])
+            raise _LeafExit(self.tree.sa[self.tree.leaf_lo[self.b1]])
         if reconcile:
             self._apply_overlap()
 
@@ -368,11 +387,13 @@ class FullSweepDriver:
         return nxt
 
     def _lane2_take(self, node: NodeId, ready: int) -> None:
-        chars = min(self.tree.skip[node], self.m - self.anchor - self.cum2)
+        chars = min(self.cum[node] - self.cum[self.parent[node]],
+                    self.m - self.anchor - self.cum2)
         self.ledger.charge("lane2", "nav_chars", chars, ready=ready)
         self.b2 = node
         if not self.tree.children(node):
-            raise _LeafExit(self.tree.ref[node] - self.anchor)
+            raise _LeafExit(self.tree.sa[self.tree.leaf_lo[node]] -
+                            self.anchor)
         if self.aligned:
             self._probe_ancestry(self.b1, self.b2)
 

@@ -37,7 +37,7 @@ from parsuffix.suffixindex import ROOT, descend
 from parsuffix.textmodel import Pattern
 
 from conftest import (ABRA, distinct_substrings, find_exact, find_node,
-                      naive_positions, random_text)
+                      naive_positions, random_text, reported_leaves)
 
 TRIALS = 1000
 SEED = 20260823
@@ -208,10 +208,7 @@ def test_criterion_5_structural_suites():
             height = max(tree.cum)
             if height > -(-(n + k) // k):
                 bad.append("layer height bound on %r k=%d" % (raw, k))
-            good_leaves = sum(1 for nid, ref in enumerate(tree.ref)
-                              if not tree.children(nid) and ref
-                              and tree.data_pos_to_text_pos(ref) <= n)
-            if good_leaves != n:
+            if len(reported_leaves(tree, n)) != n:
                 bad.append("layer leaf equality on %r k=%d" % (raw, k))
         for upper_k, d in idx.dicts.items():
             low = d.target

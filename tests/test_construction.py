@@ -19,7 +19,8 @@ from parsuffix.suffixindex import ROOT, descend, navigate
 from conftest import fibonacci_text, periodic_text, random_text
 from naive_oracle import (naive_layered_index, naive_occurrences,
                           naive_suffix_links, naive_suffix_tree,
-                          naive_suffix_trie, naive_trie_dict, naive_tree_dict)
+                          naive_suffix_trie, naive_suffixes, naive_trie_dict,
+                          naive_tree_dict, walk_values)
 
 N = 300
 TRIE_N = 100          # the trie oracle is cubic in the text length
@@ -50,12 +51,15 @@ def suffix_links(tree):
 
 
 def assert_same_nodes(got, want):
+    """Same parents and children, node by node, and each edge's length
+    and each leaf's suffix, read from ``got``'s suffix array, as the
+    oracle's walk finds them."""
     assert len(got) == len(want)
     for nid in range(len(got)):
-        assert (got.parent[nid], got.skip[nid], got.ref[nid],
-                got.children(nid)) == \
-            (want.parent[nid], want.skip[nid], want.ref[nid],
-             want.children(nid)), "node %d" % nid
+        assert (got.parent[nid], got.children(nid)) == \
+            (want.parent[nid], want.children(nid)), "node %d" % nid
+    values = walk_values(got)
+    assert (values.edge, values.suffix) == (want.walk.edge, want.walk.suffix)
 
 
 @pytest.mark.parametrize("raw", [raw for _, raw in TEXTS], ids=IDS)
@@ -73,13 +77,17 @@ def test_tree_matches_oracle(raw):
 # every binary text with 0 to 8 symbols: 511 texts
 SHORT_BINARY = [bytes(t) for n in range(9)
                 for t in itertools.product(b"ab", repeat=n)]
-COLUMNS = ("parent", "skip", "cum", "ref", "leftmost_leaf_ref", "sym", "fsym",
-           "cstart", "cid", "csym", "leaf_pos", "leaf_lo", "leaf_hi", "sa")
+COLUMNS = ("parent", "cum", "sym", "fsym", "cstart", "cid", "csym", "leaf_lo",
+           "leaf_hi", "sa")
 
 
 def assert_same_index(got, want):
+    """Every column, and what ``got`` reads from its suffix array through
+    them against the oracle walk's own values: each edge's length, each
+    node's leftmost suffix and each leaf's suffix."""
     for column in COLUMNS:
         assert getattr(got, column) == getattr(want, column), column
+    assert walk_values(got) == want.walk
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -123,12 +131,14 @@ def test_layers_match_oracle(raw):
 
 
 def assert_finalized(index, n):
-    """What finalize sets, node by node: children in symbol order (each
-    child's own edge symbol and parent agreeing), the leftmost leaf's
-    ref, and the leaf-order range against the subtree walk."""
-    lo, hi = index.leaf_lo, index.leaf_hi
-    assert sorted(index.leaf_pos[lo[ROOT]:hi[ROOT]]) == list(range(1, n + 1))
-    tail = 0
+    """The derived columns, node by node: children in symbol order (each
+    child's own edge symbol and parent agreeing), the range starting at
+    the leftmost leaf, and the range against the subtree walk: text
+    positions on a stride-1 index, data positions on the others."""
+    lo, hi, sa = index.leaf_lo, index.leaf_hi, index.sa
+    assert sorted(map(index.data_pos_to_text_pos, sa[lo[ROOT]:hi[ROOT]])) == \
+        list(range(1, n + 1))
+    tail = leaves = 0
     for nid in range(len(index)):
         children = index.children(nid)
         assert [c for c, _ in children] == sorted(c for c, _ in children)
@@ -137,14 +147,24 @@ def assert_finalized(index, n):
         first = nid
         while index.children(first):
             first = index.children(first)[0][1]
-        assert index.leftmost_leaf_ref[nid] == index.ref[first], nid
-        assert occurrences(index, nid) == naive_occurrences(index, nid), nid
+        assert lo[nid] == lo[first], nid
+        if index.stride == 1:
+            assert occurrences(index, nid) == \
+                naive_occurrences(index, nid), nid
+        else:
+            assert sorted(sa[lo[nid]:hi[nid]]) == \
+                naive_suffixes(index, nid), nid
         for _, child in children:
-            assert lo[nid] <= lo[child] <= hi[child] <= hi[nid], (nid, child)
-        if not children and \
-                index.data_pos_to_text_pos(index.ref[nid]) > n:
-            assert lo[nid] == hi[nid], nid          # delimiter-tail leaf
-            tail += 1
+            assert lo[nid] <= lo[child] <= hi[child], (nid, child)
+            # a delimiter leaf's empty range sits past the root's
+            assert hi[child] <= hi[nid] or lo[child] == hi[child], \
+                (nid, child)
+        if not children:
+            assert lo[nid] == leaves, nid           # the leaf's place in sa
+            leaves += 1
+            if index.data_pos_to_text_pos(sa[lo[nid]]) > n:
+                assert lo[nid] == hi[nid], nid      # a delimiter leaf
+                tail += 1
     assert tail == len(index.data) - n
 
 

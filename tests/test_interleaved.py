@@ -14,12 +14,8 @@ from parsuffix.suffixindex import ROOT, descend
 from parsuffix.textmodel import (Pattern, deinterleave2, interleave,
                                  is_delimiter, make_text)
 
-from conftest import ABRA, find_exact, naive_positions, random_text
-
-
-def node_label(tree, nid):
-    r = tree.leftmost_leaf_ref[nid]
-    return tree.data[r - 1: r - 1 + tree.cum[nid]]
+from conftest import (ABRA, find_exact, naive_positions, random_text,
+                      reported_leaves)
 
 
 def test_layer2_subsequences():
@@ -35,10 +31,7 @@ def test_nondelimiter_leaf_equality():
     n = len(ABRA)
     for k in (1, 2, 4, 8):
         tree = build_layer(ABRA, k).tree
-        good = sum(1 for nid, ref in enumerate(tree.ref)
-                   if not tree.children(nid) and ref
-                   and tree.data_pos_to_text_pos(ref) <= n)
-        assert good == n, k
+        assert len(reported_leaves(tree, n)) == n, k
 
 
 def test_layer_height_bound():
@@ -76,7 +69,7 @@ def test_layer_dict_golden():
     a = find_exact(up, tuple(b"A"))
     ba = find_exact(up, tuple(b"BA"))
     abra = probe(idx.dicts[2], a, ba)
-    assert bytes(node_label(low, abra)) == b"ABRA"
+    assert bytes(low.spelling(abra)) == b"ABRA"
     # the one-char lower node "A" pairs the upper "A" with the root
     assert probe(idx.dicts[2], a, ROOT) is not None
     assert len(idx.dicts[2]) == len(low) - 1
@@ -97,7 +90,7 @@ def test_deinterleave_paths_golden():
     p2, ok2 = descend(up, tuple(b"BA"))
     assert ok1 and ok2
     merged, probes = deinterleave_paths(p1, p2, idx.dicts[2])
-    labels = [bytes(node_label(idx.layers[1].tree, nid))
+    labels = [bytes(idx.layers[1].tree.spelling(nid))
               for nid, _ in merged]
     assert labels == [b"A", b"ABRA"]
     assert probes <= 2 * (len(p1) + len(p2))

@@ -18,20 +18,18 @@ from parsuffix.lanes import seq_map
 from parsuffix.suffixindex import NO_PARENT
 from parsuffix.textmodel import Pattern
 
-from conftest import ABRA, fibonacci_text, naive_positions
+from conftest import ABRA, fibonacci_text, naive_positions, suffix_of
 from test_construction import IDS, TEXTS, TRIE_N
 
 
 def same_nodes(a, b):
     assert len(a) == len(b)
     for nid in range(len(a)):
-        assert (a.parent[nid], a.skip[nid], a.cum[nid], a.ref[nid],
-                a.children(nid), a.leftmost_leaf_ref[nid], a.leaf_lo[nid],
+        assert (a.parent[nid], a.cum[nid], a.children(nid), a.leaf_lo[nid],
                 a.leaf_hi[nid]) == \
-               (b.parent[nid], b.skip[nid], b.cum[nid], b.ref[nid],
-                b.children(nid), b.leftmost_leaf_ref[nid], b.leaf_lo[nid],
+               (b.parent[nid], b.cum[nid], b.children(nid), b.leaf_lo[nid],
                 b.leaf_hi[nid])
-    assert a.leaf_pos == b.leaf_pos
+    assert a.sa == b.sa
 
 
 @pytest.mark.parametrize("kind,p", [("trie", 1), ("tree", 1),
@@ -298,7 +296,7 @@ def test_tree_missing_a_suffix_rejected():
     cont = build_container(ABRA, "tree")
     index = cont.index
     gone = next(nid for nid in range(len(index))
-                if not index.children(nid) and index.ref[nid] == 1)
+                if not index.children(nid) and suffix_of(index, nid) == 1)
 
     def renum(nid):
         return nid - (nid > gone)
@@ -306,8 +304,8 @@ def test_tree_missing_a_suffix_rejected():
     for nid in range(len(index)):
         if index.parent[nid] != NO_PARENT:
             index.parent[nid] = renum(index.parent[nid])
-    for field in (index.parent, index.skip, index.cum, index.ref,
-                  index.leftmost_leaf_ref, index.sym):
+    for field in (index.parent, index.cum, index.sym, index.leaf_lo,
+                  index.leaf_hi):
         del field[gone]
     cont.dct.entries = {renum(a) << 32 | renum(b): renum(w)
                         for (a, b), w in cont.dct.pairs()
@@ -322,19 +320,20 @@ def split_first_long_edge(index):
     by a new node with one child.  The new node takes the child's id and
     the ids from there on move up by one, so they stay a preorder; returns
     the new node's id."""
-    mid = next(nid for nid in range(1, len(index)) if index.skip[nid] > 1)
-    parent, lref = index.parent[mid], index.leftmost_leaf_ref[mid]
-    depth = index.cum[parent]
+    cum = index.cum
+    mid = next(nid for nid in range(1, len(index))
+               if cum[nid] - cum[index.parent[nid]] > 1)
+    parent, lref = index.parent[mid], suffix_of(index, mid)
+    depth = cum[parent]
     for nid, par in enumerate(index.parent):
         index.parent[nid] = shifted(par, mid)
-    for field, value in ((index.parent, parent), (index.skip, 1),
-                         (index.cum, depth + 1), (index.ref, 0),
-                         (index.leftmost_leaf_ref, lref),
-                         (index.sym, index.sym[mid])):
+    for field, value in ((index.parent, parent), (cum, depth + 1),
+                         (index.sym, index.sym[mid]),
+                         (index.leaf_lo, index.leaf_lo[mid]),
+                         (index.leaf_hi, index.leaf_hi[mid])):
         field.insert(mid, value)
     index.sym[mid + 1] = index.data[lref + depth]
     index.parent[mid + 1] = mid
-    index.skip[mid + 1] -= 1
     return mid
 
 

@@ -19,7 +19,7 @@ from parsuffix.suffixindex import NO_SYM, SuffixIndex
 from parsuffix.textmodel import DELIMITER_BASE, Pattern, interleave
 
 from conftest import (ABRA, distinct_substrings, find_exact, find_node,
-                      naive_positions, random_text)
+                      naive_positions, random_text, suffix_of)
 
 
 def test_trie_node_count_small():
@@ -33,7 +33,9 @@ def test_trie_node_count_small():
 def test_trie_counts_distinct_substrings(abra_text, abra_trie):
     assert len(abra_trie) == 1 + len(distinct_substrings(
         abra_text.symbols))
-    assert all(skip == 1 for skip in abra_trie.skip[1:])
+    cum, parent = abra_trie.cum, abra_trie.parent
+    assert all(cum[nid] == cum[parent[nid]] + 1
+               for nid in range(1, len(abra_trie)))
 
 
 def test_tree_golden_shape(abra_tree):
@@ -43,10 +45,7 @@ def test_tree_golden_shape(abra_tree):
     assert len(abra_tree.children(ROOT)) == 6
     internal = [nid for nid in range(1, len(abra_tree))
                 if abra_tree.children(nid)]
-    labels = {bytes(abra_tree.data[abra_tree.leftmost_leaf_ref[n] - 1:
-                                   abra_tree.leftmost_leaf_ref[n] - 1 +
-                                   abra_tree.cum[n]])
-              for n in internal}
+    labels = {bytes(abra_tree.spelling(n)) for n in internal}
     assert labels == {b"A", b"ABRA", b"BRA", b"RA"}
     assert len(abra_tree) == 17
 
@@ -112,12 +111,13 @@ def test_suffix_completeness(abra_tree, abra_trie):
     for index in (abra_tree, abra_trie):
         for i in range(1, len(ABRA) + 1):
             node = find_exact(index, index.data[i - 1:])
-            assert node is not None and index.ref[node] == i
+            assert node is not None and not index.children(node) and \
+                suffix_of(index, node) == i
 
 
 def test_label_soundness(abra_tree):
     for nid in range(len(abra_tree)):
-        r = abra_tree.leftmost_leaf_ref[nid]
+        r = suffix_of(abra_tree, nid)
         spelled = abra_tree.data[r - 1: r - 1 + abra_tree.cum[nid]]
         walked = find_exact(abra_tree, spelled)
         assert walked == nid or abra_tree.cum[nid] == 0
@@ -139,9 +139,9 @@ def test_generalized_tree_leaf_positions():
     subs = interleave(make_text(ABRA, 4).symbols, 4)
     assert sum(not layer.children(nid) for nid in range(len(layer))) == \
         sum(len(s) for s in subs)
-    for nid, ref in enumerate(layer.ref):
-        if not layer.children(nid) and ref:
-            pos = layer.data_pos_to_text_pos(ref)
+    for nid in range(len(layer)):
+        if not layer.children(nid):
+            pos = layer.data_pos_to_text_pos(suffix_of(layer, nid))
             # leaf of subsequence i starts at text position ≡ i (mod 4)
             assert 1 <= pos <= len(make_text(ABRA, 4).symbols)
 
@@ -225,13 +225,17 @@ def _traced_bytes(make):
 
 
 def test_index_holds_no_per_node_maps():
-    """A finished index is a few arrays, 38 to 47 B per node here: a
+    """A finished index is a few arrays, 25 to 34 B per node here: a
     child map per node would cost 64 B or more each (this trie held
-    287 B per node with them, this loaded tree 187)."""
+    287 B per node with them, this loaded tree 187).  Per-suffix facts
+    are read from the suffix array, not stored per node: with a leaf's
+    suffix, the leftmost suffix and the edge length as three more int
+    columns, this trie held 37.5 B per node and this tree 48.2."""
     raw = random_text(random.Random(4), 200, 2)
     trie, held = _traced_bytes(lambda: build_suffix_trie(make_text(raw, 1)))
     assert len(trie) > 15000
     assert held / len(trie) < 64, held / len(trie)
+    assert held / len(trie) < 30, held / len(trie)
 
     raw = random_text(random.Random(4), 4000, 2)
     blob = dump_container(build_container(raw, "tree"))
@@ -243,3 +247,4 @@ def test_index_holds_no_per_node_maps():
     tree, held = _traced_bytes(load_index)
     assert len(tree) > 7000
     assert held / len(tree) < 64, held / len(tree)
+    assert held / len(tree) < 40, held / len(tree)
